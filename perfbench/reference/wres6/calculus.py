@@ -1,0 +1,365 @@
+"""Operator-level constructions for Q = (fDh)^2 and its inverse powers.
+
+The symbols of the Dirac operator and its square are taken as given; the
+rescaled operator's symbol is assembled from the operator identity
+
+    Q = fhfh D^2 + fhf [D^2, h] + fh c(d(hf)) D + f c(d(hf)) c(dh)
+
+with the commutator expanded by the graded commutator formula.  The inverse
+is built by the triangular parametrix recursion; the square's order -6
+symbol is produced both by direct composition and by the reduced
+combination  3 s2^-1 b_-4 + s2^-3 s0 + b_-3 b_-3 + s2^-2 s1 b_-3 + ... ,
+and the two routes are required to agree exactly.
+
+Curvature closure
+-----------------
+Connection-derivative content (the curvature remainder ``curv0`` of the
+order-0 symbol of D^2 and all x-derivatives of connection atoms) is not
+re-derived from metric jets; it is dropped by the point-context rules, and
+the Riemann term of the order -4 inverse symbol is imported verbatim:
+
+    b_-4  +=  2/3 (fh)^-2 |xi|^-6 R_{alpha a alpha mu} xi_a xi_mu.
+
+The scalar-curvature part -1/4 (fh)^-2 |xi|^-4 s emerges from the recursion
+on its own through the retained 1/4 s term of the order-0 symbol.  Because
+b_-4 then satisfies the recursion only up to the imported term, the direct
+composition route is completed by the forced residue  b_-2 * import  so the
+two routes are comparable term by term; the completion is asserted, never
+assumed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import factorial
+
+from .clifford import CliffordElement
+from .scalars import (
+    G_I,
+    ScalarExpr,
+    curv0,
+    f_pow,
+    fh_pow,
+    gam,
+    h_pow,
+    omega,
+    riem,
+    s_atom,
+    sc,
+    sig,
+)
+from .symbols import (
+    INTERIOR,
+    PointContext,
+    SymbolExpr,
+    XIM_ONE,
+    apply_context,
+    compose,
+    xim_norm,
+    xim_xi,
+)
+
+
+class RouteDisagreement(RuntimeError):
+    """The two order -6 assembly routes produced different symbols."""
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    name: str
+    symbols: SymbolExpr
+    ctx: PointContext | None = None
+
+
+def covector_element(components) -> CliffordElement:
+    return CliffordElement.covector([components(j) for j in range(1, 7)])
+
+
+def c_of_d(u: ScalarExpr) -> CliffordElement:
+    """c(du) = sum_j (d_j u) c_j for a scalar function u."""
+    return CliffordElement.covector([u.derive_x(j) for j in range(1, 7)])
+
+
+# ---------------------------------------------------------------------------
+# Base operator symbols
+
+
+def build_d_symbols() -> SymbolExpr:
+    """sigma(D): order 1 is i c(xi); order 0 the frame-connection cubic."""
+    order1 = SymbolExpr.xi_covector().scale(ScalarExpr.const(G_I))
+    zero_el = CliffordElement.zero()
+    acc = zero_el
+    for i in range(1, 7):
+        for s in range(1, 7):
+            for t in range(1, 7):
+                if s == t:
+                    continue
+                w = omega(i, s, t)
+                if not w:
+                    continue
+                word = (CliffordElement.generator(i)
+                        * CliffordElement.generator(s)
+                        * CliffordElement.generator(t))
+                acc = acc + word.map_scalars(lambda c: c * w * sc(-1, 4))
+    order0 = SymbolExpr.term(XIM_ONE, acc) if acc else SymbolExpr.zero()
+    return order1 + order0
+
+
+def build_d2_symbols() -> SymbolExpr:
+    """sigma(D^2): |xi|^2 + i(Gam^mu - 2 sig^mu) xi_mu + (curv0 + s/4)."""
+    out = SymbolExpr.norm_sq(1)
+    for mu in range(1, 7):
+        coeff = (gam(mu) - sc(2) * sig(mu)) * ScalarExpr.const(G_I)
+        out = out + SymbolExpr.scalar_term(xim_xi(mu), coeff)
+    out = out + SymbolExpr.scalar_term(XIM_ONE, curv0() + sc(1, 4) * s_atom())
+    return out
+
+
+def commutator_symbol(S: SymbolExpr, u: ScalarExpr) -> SymbolExpr:
+    """Graded symbol of [S, u] for a multiplication operator u.
+
+    sum over multi-indices beta with |beta| >= 1 of
+    (-i)^|beta| (d_x^beta u / beta!) d_xi^beta sigma(S).
+    """
+    out = SymbolExpr.zero()
+    if not S.orders:
+        return out
+    max_deg = max(sum(m[0]) + 2 * max(m[1], 0) for t in S.orders.values() for m in t)
+    for k in range(1, max_deg + 1):
+        for beta in combinations_with_replacement(range(1, 7), k):
+            fact = 1
+            for j in set(beta):
+                fact *= factorial(beta.count(j))
+            du = u
+            for j in beta:
+                du = du.derive_x(j)
+                if not du:
+                    break
+            if not du:
+                continue
+            dS = S
+            for j in beta:
+                dS = dS.derive_xi(j)
+                if not dS:
+                    break
+            if not dS:
+                continue
+            coeff = du * ScalarExpr.const((-G_I) ** k * Fraction(1, fact))
+            out = out + dS.scale(coeff)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Q = (fDh)^2
+
+
+@lru_cache(maxsize=None)
+def build_q_symbols() -> SymbolExpr:
+    """Orders 2, 1, 0 of Q with connection atoms left symbolic."""
+    f = f_pow(1)
+    h = h_pow(1)
+    fh = fh_pow(1)
+    d2 = build_d2_symbols()
+    d1 = build_d_symbols()
+    c_dhf = c_of_d(fh)  # hf = fh as scalar functions
+    c_dh = c_of_d(h)
+
+    q = d2.scale(fh * fh)
+    q = q + commutator_symbol(d2, h).scale(fh * f)
+    q = q + d1.cliff_lmul(c_dhf).scale(fh)
+    q = q + SymbolExpr.term(XIM_ONE, c_dhf * c_dh).scale(f)
+    if set(q.orders) != {2, 1, 0}:
+        raise AssertionError(f"Q symbol orders {sorted(q.orders)}")
+    return q
+
+
+def build_fdh_symbols(ctx: PointContext = INTERIOR) -> SymbolExpr:
+    """sigma(fDh) built by composing sigma(D) with multiplication by h."""
+    h_sym = SymbolExpr.scalar_term(XIM_ONE, h_pow(1))
+    dh = compose(build_d_symbols(), h_sym, 0, ctx)
+    return dh.scale(f_pow(1))
+
+
+# ---------------------------------------------------------------------------
+# Parametrix
+
+
+@dataclass(frozen=True)
+class Parametrix:
+    """Inverse symbols b_-2, b_-3, b_-4 with the curvature import split out."""
+
+    b2: SymbolExpr
+    b3: SymbolExpr
+    b4_recursion: SymbolExpr
+    curvature_import: SymbolExpr
+    ctx: PointContext
+
+    @property
+    def b4(self) -> SymbolExpr:
+        return self.b4_recursion + self.curvature_import
+
+    def recursion_symbol(self, depth: int = 3) -> SymbolExpr:
+        out = self.b2
+        if depth >= 2:
+            out = out + self.b3
+        if depth >= 3:
+            out = out + self.b4_recursion
+        return out
+
+    def full_symbol(self) -> SymbolExpr:
+        return self.b2 + self.b3 + self.b4
+
+
+def riemann_contraction_term() -> SymbolExpr:
+    """2/3 (fh)^-2 |xi|^-6 R_{alpha a alpha mu} xi_a xi_mu, index-expanded."""
+    out = SymbolExpr.zero()
+    pref = fh_pow(-2) * sc(2, 3)
+    for a in range(1, 7):
+        for m in range(1, 7):
+            e = [0] * 6
+            e[a - 1] += 1
+            e[m - 1] += 1
+            mono = (tuple(e), -3)
+            out = out + SymbolExpr.scalar_term(mono, pref * riem(a, m))
+    return out
+
+
+def invert_symbol(q: SymbolExpr, ctx: PointContext, depth: int = 3) -> Parametrix:
+    """Solve the triangular recursion for the inverse symbols.
+
+    ``q`` must already be context-evaluated.  The order-2 part must be an
+    invertible scalar monomial times |xi|^2.
+    """
+    if depth not in (2, 3):
+        raise ValueError("depth must be 2 or 3")
+    top = q.order_part(2)
+    if set(top.orders) != {2} or list(top.orders[2]) != [xim_norm(1)]:
+        raise ValueError("leading symbol is not a multiple of |xi|^2")
+    lead = top.orders[2][xim_norm(1)]
+    s2 = lead.scalar_part()
+    if len(lead.terms) != 1 or not s2:
+        raise ValueError("leading symbol is not scalar")
+    s2_inv = s2.inverse_monomial()
+    b2 = SymbolExpr.scalar_term(xim_norm(-1), s2_inv)
+
+    partial = b2
+    bs = {-2: b2}
+    for k in range(1, depth):
+        res = compose(q, partial, -k, ctx).order_part(-k)
+        nxt = -(b2.mul(res))
+        bs[-2 - k] = nxt
+        partial = partial + nxt
+
+    imp = riemann_contraction_term() if (depth >= 3 and not ctx.is_boundary) \
+        else SymbolExpr.zero()
+    return Parametrix(
+        b2=bs[-2],
+        b3=bs.get(-3, SymbolExpr.zero()),
+        b4_recursion=bs.get(-4, SymbolExpr.zero()),
+        curvature_import=imp,
+        ctx=ctx,
+    )
+
+
+@lru_cache(maxsize=None)
+def interior_q() -> SymbolExpr:
+    return apply_context(build_q_symbols(), INTERIOR)
+
+
+@lru_cache(maxsize=None)
+def interior_parametrix() -> Parametrix:
+    return invert_symbol(interior_q(), INTERIOR, depth=3)
+
+
+# ---------------------------------------------------------------------------
+# Order -6 symbol of Q^-2
+
+
+@lru_cache(maxsize=None)
+def qinv_square_sigma6() -> SymbolExpr:
+    """Order -6 symbol of Q^-2 at the interior point, both routes checked."""
+    q = interior_q()
+    par = invert_symbol(q, INTERIOR, depth=3)
+    route_a = _route_direct(par)
+    route_b = _route_reduced(q, par)
+    if route_a != route_b:
+        diff = route_a - route_b
+        raise RouteDisagreement(
+            "direct composition and reduced assembly differ:\n%s" % diff)
+    return route_b
+
+
+def _route_direct(par: Parametrix) -> SymbolExpr:
+    """compose(sigma(Q^-1), sigma(Q^-1)) at order -6, plus the forced
+    completion b_-2 * import coming from the imported curvature term."""
+    full = par.full_symbol()
+    direct = compose(full, full, -6, par.ctx).order_part(-6)
+    completion = par.b2.mul(par.curvature_import)
+    return direct + completion
+
+
+def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
+    """The reduced combination obtained by eliminating the mixed derivative
+    term with the recursion identities."""
+    ctx = par.ctx
+    s2inv = par.b2
+    s2 = q.order_part(2)
+    s1 = q.order_part(1)
+    s0 = q.order_part(0)
+    b3 = par.b3
+    b4 = par.b4
+
+    out = s2inv.mul(b4).scale(sc(3))
+    out = out + s2inv.mul(s2inv).mul(s2inv).mul(s0)
+    out = out + b3.mul(b3)
+    out = out + s2inv.mul(s2inv).mul(s1).mul(b3)
+
+    i_const = ScalarExpr.const(G_I)
+    for mu in range(1, 7):
+        dx_s2inv = s2inv.derive_x(mu, ctx)
+        if dx_s2inv:
+            t1 = s2inv.mul(s2inv).mul(s1.derive_xi(mu)).mul(dx_s2inv)
+            out = out - t1.scale(i_const)
+            t2 = b3.derive_xi(mu).mul(dx_s2inv)
+            out = out - t2.scale(i_const)
+    for mu in range(1, 7):
+        for nu in range(1, 7):
+            ddx = s2inv.derive_x(mu, ctx).derive_x(nu, ctx)
+            if not ddx:
+                continue
+            t3 = s2inv.mul(s2inv).mul(s2.derive_xi(mu).derive_xi(nu)).mul(ddx)
+            out = out - t3.scale(sc(1, 2))
+            t4 = s2inv.derive_xi(mu).derive_xi(nu).mul(ddx)
+            out = out - t4.scale(sc(1, 2))
+    return out.order_part(-6)
+
+
+# ---------------------------------------------------------------------------
+# Named operator access (CLI dumps)
+
+
+def operator_symbols(name: str, ctx: PointContext | None = None) -> OperatorSpec:
+    name = name.strip()
+    if name == "D":
+        return OperatorSpec("D", build_d_symbols(), ctx)
+    if name == "D2":
+        return OperatorSpec("D2", build_d2_symbols(), ctx)
+    if name == "Q":
+        sym = build_q_symbols()
+        if ctx is not None:
+            sym = apply_context(sym, ctx)
+        return OperatorSpec("Q", sym, ctx)
+    if name == "Qinv":
+        use = ctx or INTERIOR
+        q = apply_context(build_q_symbols(), use)
+        depth = 2 if use.is_boundary else 3
+        par = invert_symbol(q, use, depth=depth)
+        return OperatorSpec("Qinv", par.full_symbol(), use)
+    if name == "Qinv2":
+        if ctx is not None and ctx.is_boundary:
+            raise ValueError("Qinv2 is an interior-point computation")
+        return OperatorSpec("Qinv2", qinv_square_sigma6(), INTERIOR)
+    raise ValueError(f"unknown operator {name!r}")

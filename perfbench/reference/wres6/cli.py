@@ -1,0 +1,256 @@
+"""Command-line driver.
+
+Commands:
+    wres6 verify interior [--specialize S] [--format text|json]
+                          [--ledger PATH] [--out PATH]
+    wres6 verify boundary [--case a1|a2|a3|b|c|all] [--specialize S]
+                          [--format text|json] [--ledger PATH] [--out PATH]
+    wres6 dump symbols --operator {D|D2|Q|Qinv|Qinv2} [--order K]
+                       [--context interior|boundary]
+    wres6 dump term-table [--format text|json]
+
+Exit status: 0 when every comparison is a match or a ledgered diff, 1 on
+any unledgered diff, 2 on usage errors (including malformed ledger files
+and unsupported specializations).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from . import report as report_mod
+from .scalars import ScalarExpr, dfunc, f_pow, sc, u_pow
+
+USAGE_ERROR = 2
+
+
+class CliError(Exception):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# Specializations
+
+
+def _const_one(atom):
+    return ScalarExpr.one() if not atom[1] else ScalarExpr.zero()
+
+
+def _subst_f1h1(atom):
+    return _const_one(atom)
+
+
+def _subst_fh1(atom):
+    base, beta = atom[0], atom[1]
+    if base != "h":
+        return ScalarExpr.atom(atom)
+    if not beta:
+        return f_pow(-1)
+    if len(beta) == 1:
+        return f_pow(-2) * sc(-1) * dfunc("f", *beta)
+    j, l = beta
+    return (f_pow(-3) * sc(2) * dfunc("f", j) * dfunc("f", l)
+            - f_pow(-2) * dfunc("f", j, l))
+
+
+def _subst_power(base: str, p: int):
+    def run(atom):
+        if atom[0] != base:
+            return ScalarExpr.atom(atom)
+        beta = atom[1]
+        if not beta:
+            return u_pow(p)
+        if len(beta) == 1:
+            return sc(p) * u_pow(p - 1) * dfunc("u", *beta)
+        j, l = beta
+        return (sc(p * (p - 1)) * u_pow(p - 2) * dfunc("u", j) * dfunc("u", l)
+                + sc(p) * u_pow(p - 1) * dfunc("u", j, l))
+    return run
+
+
+def parse_specialization(text: str):
+    """Parse a --specialize value into an atom-mapping function."""
+    spec = text.replace(" ", "")
+    if spec == "f=1,h=1":
+        return _subst_f1h1
+    if spec == "fh=1":
+        return _subst_fh1
+    if spec.startswith("f=u^") and ",h=u^" in spec:
+        left, right = spec.split(",", 1)
+        try:
+            p = int(left[len("f=u^"):])
+            q = int(right[len("h=u^"):])
+        except ValueError:
+            raise CliError(
+                f"unsupported specialization {text!r}: exponents must be integers")
+        fp = _subst_power("f", p)
+        hq = _subst_power("h", q)
+
+        def run(atom):
+            if atom[0] == "f":
+                return fp(atom)
+            if atom[0] == "h":
+                return hq(atom)
+            return ScalarExpr.atom(atom)
+        return run
+    raise CliError(f"unsupported specialization {text!r}")
+
+
+# ---------------------------------------------------------------------------
+# Ledger loading
+
+
+LEDGER_FIELDS = {"location", "printed", "forced", "note"}
+
+
+def load_ledger(path: str) -> list[dict]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"malformed ledger file {path}: {exc}")
+    if not isinstance(data, list):
+        raise CliError(f"malformed ledger file {path}: expected a JSON list")
+    for entry in data:
+        if not isinstance(entry, dict) or not LEDGER_FIELDS <= set(entry):
+            raise CliError(
+                f"malformed ledger file {path}: entries need fields "
+                f"{sorted(LEDGER_FIELDS)}")
+    return data
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def _emit(text: str, out_path: str | None):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
+def cmd_verify(args) -> int:
+    specialize = None
+    spec_label = "none"
+    if args.specialize:
+        specialize = parse_specialization(args.specialize)
+        spec_label = args.specialize.replace(" ", "")
+    ledger = load_ledger(args.ledger) if args.ledger else None
+
+    cases = None
+    if args.target == "boundary" and args.case != "all":
+        cases = [args.case]
+    rep = report_mod.build_report(
+        mode=args.target,
+        specialization=spec_label,
+        cases=cases,
+        specialize=specialize,
+        ledger=ledger,
+    )
+    text = (report_mod.to_json(rep) if args.format == "json"
+            else report_mod.to_text(rep))
+    _emit(text, args.out)
+    return 0 if rep["status"] == "pass" else 1
+
+
+def cmd_dump_symbols(args) -> int:
+    from .calculus import operator_symbols
+    from .symbols import BOUNDARY, INTERIOR
+
+    ctx = None
+    if args.context == "interior":
+        ctx = INTERIOR
+    elif args.context == "boundary":
+        ctx = BOUNDARY
+    spec = operator_symbols(args.operator, ctx)
+    sym = spec.symbols
+    if args.order is not None:
+        sym = sym.order_part(args.order)
+    _emit("\n".join(sym.dump_lines()) + "\n", args.out)
+    return 0
+
+
+def cmd_dump_term_table(args) -> int:
+    from .interior import term_table
+
+    records = term_table()
+    if args.format == "json":
+        payload = [
+            {
+                "index": r.index,
+                "integrand": r.integrand.dump_lines(),
+                "computed": str(r.computed),
+                "paper": str(r.paper),
+                "verdict": r.verdict,
+            }
+            for r in records
+        ]
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    else:
+        lines = []
+        for r in records:
+            lines.append(f"term {r.index:2d}: verdict={r.verdict}")
+            lines.append(f"  computed: {r.computed}")
+            lines.append(f"  paper:    {r.paper}")
+        _emit("\n".join(lines) + "\n", args.out)
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wres6",
+        description=("Exact verifier for the noncommutative residue of the "
+                     "squared rescaled Dirac operator on 6-manifolds"))
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    verify = sub.add_parser("verify", help="run a verification")
+    verify.add_argument("target", choices=["interior", "boundary", "all"])
+    verify.add_argument("--case", default="all",
+                        choices=["a1", "a2", "a3", "b", "c", "all"])
+    verify.add_argument("--specialize", default=None,
+                        help="f=1,h=1 | fh=1 | f=u^P,h=u^Q")
+    verify.add_argument("--format", default="text", choices=["text", "json"])
+    verify.add_argument("--ledger", default=None,
+                        help="override the bundled discrepancy ledger (JSON)")
+    verify.add_argument("--out", default=None, help="also write output here")
+    verify.set_defaults(func=cmd_verify)
+
+    dump = sub.add_parser("dump", help="dump internal objects")
+    dsub = dump.add_subparsers(dest="what", required=True)
+
+    dsym = dsub.add_parser("symbols")
+    dsym.add_argument("--operator", required=True,
+                      choices=["D", "D2", "Q", "Qinv", "Qinv2"])
+    dsym.add_argument("--order", type=int, default=None)
+    dsym.add_argument("--context", default=None,
+                      choices=["interior", "boundary"])
+    dsym.add_argument("--out", default=None)
+    dsym.set_defaults(func=cmd_dump_symbols)
+
+    dtab = dsub.add_parser("term-table")
+    dtab.add_argument("--format", default="text", choices=["text", "json"])
+    dtab.add_argument("--out", default=None)
+    dtab.set_defaults(func=cmd_dump_term_table)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on usage errors already
+        return int(exc.code) if exc.code is not None else USAGE_ERROR
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

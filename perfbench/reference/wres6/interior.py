@@ -1,0 +1,222 @@
+"""Interior engine: unit-sphere moments, traced integration, term table.
+
+The residue density at an interior point is the unit-sphere integral of the
+spinor trace of the order -6 symbol of Q^-2.  Monomial moments over the
+sphere are exact rationals times the area atom, generated by the standard
+delta-pairing recurrence; a Gamma-function closed form serves as an
+independent oracle in the tests.
+
+The term table evaluates each line of the bundled printed expansion of the
+order -6 symbol with the forced trace/moment rules and compares against the
+printed grouped right-hand sides; the full density is computed from the
+engine's own symbol and compared against the bundled reference density.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from .calculus import qinv_square_sigma6
+from .scalars import ScalarExpr, area_s6, s_atom, sc, subst_area
+from .symbols import SymbolExpr
+
+
+class FreeIndexError(ValueError):
+    """A traced integrand still carries unresolved tensor indices."""
+
+
+# ---------------------------------------------------------------------------
+# Sphere moments
+#
+# moment(exps, n) is the integral over the unit sphere S^(n-1) of the
+# monomial prod x_i^e_i, expressed as a rational multiple of the total area.
+
+
+@lru_cache(maxsize=None)
+def _moment_ratio(exps: tuple, n: int) -> Fraction:
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    deg = sum(exps)
+    if deg == 0:
+        return Fraction(1)
+    # recurrence: strip two powers from the first active slot
+    i = next(k for k, e in enumerate(exps) if e)
+    rest = list(exps)
+    rest[i] -= 2
+    # I^(pairings of x_i x_i ...) = 1/(deg - 2 + n) * [ (e_i - 1) * I(e - 2e_i)
+    #   + sum over pairings with the other slots ], delta terms vanish unless
+    # indices coincide; with a fixed exponent vector this collapses to
+    total = Fraction(exps[i] - 1) * _moment_ratio(tuple(rest), n)
+    return total / (deg - 2 + n)
+
+
+def sphere_moment(exps, n: int = 6) -> Fraction:
+    """Moment of prod xi_i^e_i over S^(n-1) as a multiple of the area."""
+    exps = tuple(exps)
+    if len(exps) != n:
+        raise ValueError("exponent vector length must equal the dimension")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponents")
+    return _moment_ratio(exps, n)
+
+
+def gamma_moment(exps, n: int = 6) -> Fraction:
+    """Closed-form oracle: 2 prod((2a_i)! / (4^a_i a_i!)) / binomial growth.
+
+    For even exponents 2a_i the sphere moment divided by the area equals
+    Gamma(n/2) * prod Gamma(a_i + 1/2) / (pi^(n/2) Gamma(|a| + n/2)); for
+    even n every factor is rational after the pi powers cancel.
+    """
+    exps = tuple(exps)
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    a = [e // 2 for e in exps]
+    if n % 2:
+        raise ValueError("gamma_moment oracle implemented for even n only")
+    num = Fraction(1)
+    for ai in a:
+        num *= Fraction(factorial(2 * ai), 4 ** ai * factorial(ai))
+    half = n // 2
+    return num * Fraction(factorial(half - 1), factorial(sum(a) + half - 1))
+
+
+# ---------------------------------------------------------------------------
+# Traced integration over the unit sphere
+
+
+def _contract_riemann(e: ScalarExpr) -> ScalarExpr:
+    """Replace complete diagonal Riemann sums by the scalar curvature.
+
+    After moment integration only R[a,a] atoms can survive (off-diagonal
+    atoms pair with vanishing moments).  A full diagonal family with a
+    common cofactor contracts to s; anything else is a malformed input.
+    """
+    plain = {}
+    diag: dict = {}
+    for mono, coeff in e.terms.items():
+        r_atoms = [(a, x) for a, x in mono if a[0] == "R"]
+        if not r_atoms:
+            plain[mono] = coeff
+            continue
+        if len(r_atoms) > 1 or r_atoms[0][1] != 1:
+            raise FreeIndexError("higher Riemann content is out of scope")
+        atom = r_atoms[0][0]
+        if atom[1] != atom[2]:
+            raise FreeIndexError(f"unresolved off-diagonal index pair {atom}")
+        rest = tuple(x for x in mono if x[0][0] != "R")
+        diag.setdefault(rest, {})[atom[1]] = coeff
+    out = ScalarExpr(plain)
+    for rest, fam in diag.items():
+        if set(fam) != set(range(1, 7)) or len(set(fam.values())) != 1:
+            raise FreeIndexError("incomplete diagonal Riemann family")
+        coeff = next(iter(fam.values()))
+        out = out + ScalarExpr({rest: coeff}) * s_atom()
+    return out
+
+
+def integrate_trace(order6: SymbolExpr, contract: bool = True) -> ScalarExpr:
+    """Integrate tr[.] of a restricted order -6 symbol over the unit sphere.
+
+    Returns a ScalarExpr multiple of the area atom; the trace factor
+    tr[id] = 8 is included.  Input must be concentrated in a single
+    homogeneity order (the restriction makes |xi|^2 powers immaterial).
+    ``contract`` resolves surviving diagonal Riemann families into the
+    scalar curvature; disable it to integrate partial term chunks.
+    """
+    restricted = order6.restrict_sphere()
+    total = ScalarExpr.zero()
+    for (exps, word), coeff in restricted.items():
+        if word:
+            continue  # nonempty canonical words are traceless
+        m = sphere_moment(exps)
+        if not m:
+            continue
+        total = total + coeff * sc(8) * ScalarExpr.const(m)
+    if contract:
+        total = _contract_riemann(total)
+    return total * area_s6()
+
+
+# ---------------------------------------------------------------------------
+# Term table and density
+
+
+@dataclass(frozen=True)
+class TermRecord:
+    index: int
+    integrand: SymbolExpr
+    computed: ScalarExpr
+    paper: ScalarExpr
+    verdict: str  # "match" | "diff (ledgered)" | "diff"
+    ledger_key: str | None = None
+
+
+def term_table(specialize=None, ledger=None) -> list[TermRecord]:
+    from . import tables
+
+    if ledger is None:
+        ledger = tables.discrepancy_ledger()
+    ledger_keys = {entry["location"] for entry in ledger}
+    records = []
+    for idx in range(1, 22):
+        integrand = tables.printed_expansion_line(idx)
+        computed = integrate_trace(integrand)
+        paper = tables.printed_term_value(idx)
+        if specialize is not None:
+            computed = computed.map_func_atoms(specialize)
+            paper = paper.map_func_atoms(specialize)
+        if computed == paper:
+            verdict, key = "match", None
+        else:
+            key = f"interior/term-{idx:02d}"
+            verdict = "diff (ledgered)" if key in ledger_keys else "diff"
+        records.append(TermRecord(idx, integrand, computed, paper, verdict, key))
+    return records
+
+
+def interior_density(sigma6: SymbolExpr | None = None) -> ScalarExpr:
+    """Unit-sphere integral of tr[sigma_-6(Q^-2)], an area(S_6) multiple."""
+    if sigma6 is None:
+        sigma6 = qinv_square_sigma6()
+    return integrate_trace(sigma6)
+
+
+@dataclass(frozen=True)
+class InteriorComparison:
+    computed_density: ScalarExpr  # with area -> pi^3 applied
+    paper_density: ScalarExpr
+    diff: ScalarExpr
+    verdict: str
+    ledger_key: str | None
+
+
+def theorem_check_interior(specialize=None, ledger=None) -> InteriorComparison:
+    """Compare the computed density with the bundled reference density.
+
+    Both sides are expanded into the canonical f/h basis with tr[id] = 8 and
+    area(S_6) = pi^3 substituted.  ``specialize`` optionally maps function
+    atoms (see cli.parse_specialization) on both sides before comparison.
+    """
+    from . import tables
+
+    if ledger is None:
+        ledger = tables.discrepancy_ledger()
+    computed = subst_area()(interior_density())
+    paper = tables.printed_theorem_density()
+    if specialize is not None:
+        computed = computed.map_func_atoms(specialize)
+        paper = paper.map_func_atoms(specialize)
+    diff = computed - paper
+    if diff.is_zero():
+        return InteriorComparison(computed, paper, diff, "match", None)
+    key = "interior/theorem-density"
+    ledgered = any(e["location"] == key for e in ledger)
+    expected = tables.expected_density_diff()
+    if specialize is not None:
+        expected = expected.map_func_atoms(specialize)
+    if ledgered and diff == expected:
+        return InteriorComparison(computed, paper, diff, "diff (ledgered)", key)
+    return InteriorComparison(computed, paper, diff, "diff", key)

@@ -1,0 +1,954 @@
+"""Exact coefficient ring for the residue computation.
+
+Everything downstream (Clifford coefficients, symbol coefficients, boundary
+rational functions) is a ``ScalarExpr``: a canonical sum of monomials with
+Gaussian-rational coefficients.  A monomial is a multiset of atoms:
+
+* function atoms -- ``f``, ``h`` (and ``u`` after a specialization) with an
+  optional derivative multi-index of order <= 2.  Powers are only carried by
+  underived atoms; derived atoms enter with positive multiplicity.
+* geometric atoms -- scalar curvature ``s``, the contracted Riemann atom
+  ``R[a,b]``, the boundary warp derivative ``wp`` (w'(0)), contracted
+  connection atoms ``Gam[mu]`` / ``sig[mu]``, frame connection ``om[i,s,t]``,
+  the opaque curvature remainder ``curv0`` of the squared Dirac operator's
+  order-0 symbol, and the constants ``S6`` (area of the unit 5-sphere in R^6),
+  ``Om4`` (area of the unit 4-sphere in R^5) and ``pi``.
+
+Arithmetic is exact; no floating point is ever produced here.  All values are
+immutable after construction, so expressions are safe to share freely.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Mapping
+
+MAX_DERIV_ORDER = 2
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals
+
+
+class GaussRat:
+    """Exact complex number a + b*i with rational a, b."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    def __add__(self, other):
+        other = as_gauss(other)
+        return GaussRat(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussRat(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-as_gauss(other))
+
+    def __rsub__(self, other):
+        return as_gauss(other) + (-self)
+
+    def __mul__(self, other):
+        other = as_gauss(other)
+        return GaussRat(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = as_gauss(other)
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero GaussRat")
+        return GaussRat(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def __rtruediv__(self, other):
+        return as_gauss(other) / self
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return GaussRat(1) / self ** (-k)
+        out = GaussRat(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        try:
+            other = as_gauss(other)
+        except TypeError:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def conj(self):
+        return GaussRat(self.re, -self.im)
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __repr__(self):
+        return f"GaussRat({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        istr = "i" if mag == 1 else f"{mag}*i"
+        return f"({self.re}{sign}{istr})"
+
+
+def as_gauss(x) -> GaussRat:
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussRat(x)
+    raise TypeError(f"cannot coerce {x!r} to GaussRat")
+
+
+G_ZERO = GaussRat(0)
+G_ONE = GaussRat(1)
+G_I = GaussRat(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Atoms
+#
+# Atom encodings (plain tuples so monomials are hashable):
+#   ("f"|"h"|"u", beta)        function atom, beta a sorted tuple of coords
+#   ("s", beta)                scalar curvature (formal derivatives allowed)
+#   ("R", a, b, beta)          Riemann contraction R_{alpha a alpha b}, a<=b
+#   ("wp",)                    w'(0), warp derivative at the boundary point
+#   ("Gam", mu)                contracted Christoffel Gamma^mu
+#   ("sig", mu)                contracted spin connection sigma^mu
+#   ("om", i, s, t)            frame connection omega_{s,t}(e_i), s < t
+#   ("curv0",)                 order-0 curvature remainder of D^2
+#   ("S6",), ("Om4",), ("pi",) exact constants kept symbolic
+
+FUNC_BASES = ("f", "h", "u")
+CONSTANT_ATOMS = frozenset([("wp",), ("S6",), ("Om4",), ("pi",)])
+DROPPED_DERIV_KINDS = frozenset(["s", "R", "Gam", "sig", "om", "curv0"])
+
+_KIND_RANK = {"f": 0, "h": 1, "u": 2, "s": 3, "R": 4, "wp": 5, "Gam": 6,
+              "sig": 7, "om": 8, "curv0": 9, "S6": 10, "Om4": 11, "pi": 12}
+
+
+def _atom_key(atom):
+    return (_KIND_RANK[atom[0]],) + atom[1:]
+
+
+def atom_str(atom) -> str:
+    kind = atom[0]
+    if kind in FUNC_BASES:
+        beta = atom[1]
+        if not beta:
+            return kind
+        return "d[%s]%s" % (",".join(map(str, beta)), kind)
+    if kind == "s":
+        beta = atom[1]
+        if not beta:
+            return "s"
+        return "d[%s]s" % ",".join(map(str, beta))
+    if kind == "R":
+        return "R[%d,%d]" % (atom[1], atom[2])
+    if kind == "wp":
+        return "wp"
+    if kind == "Gam":
+        return "Gam[%d]" % atom[1]
+    if kind == "sig":
+        return "sig[%d]" % atom[1]
+    if kind == "om":
+        return "om[%d,%d,%d]" % (atom[1], atom[2], atom[3])
+    if kind == "curv0":
+        return "curv0"
+    if kind in ("S6", "Om4"):
+        return kind
+    if kind == "pi":
+        return "pi"
+    raise ValueError(f"unknown atom {atom!r}")
+
+
+class DerivativeOrderError(ValueError):
+    """Raised when a derivative would exceed the supported order bound."""
+
+
+# ---------------------------------------------------------------------------
+# ScalarExpr
+
+
+class ScalarExpr:
+    """Canonical sum of monomials over the atom alphabet.
+
+    ``terms`` maps a monomial (sorted tuple of (atom, exponent) pairs) to its
+    nonzero GaussRat coefficient.  Construction canonicalizes; instances are
+    treated as immutable.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[tuple, GaussRat] | None = None):
+        clean = {}
+        if terms:
+            for mono, coeff in terms.items():
+                if coeff:
+                    clean[mono] = coeff
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScalarExpr is immutable")
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def zero() -> "ScalarExpr":
+        return _SE_ZERO
+
+    @staticmethod
+    def one() -> "ScalarExpr":
+        return _SE_ONE
+
+    @staticmethod
+    def const(c) -> "ScalarExpr":
+        c = as_gauss(c)
+        if not c:
+            return _SE_ZERO
+        return ScalarExpr({(): c})
+
+    @staticmethod
+    def atom(atom, exp: int = 1, coeff=1) -> "ScalarExpr":
+        if exp == 0:
+            return ScalarExpr.const(coeff)
+        _validate_atom(atom, exp)
+        return ScalarExpr({((atom, exp),): as_gauss(coeff)})
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        other = _as_scalar(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            acc = out.get(mono, G_ZERO) + c
+            if acc:
+                out[mono] = acc
+            else:
+                out.pop(mono, None)
+        return ScalarExpr(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ScalarExpr({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-_as_scalar(other))
+
+    def __rsub__(self, other):
+        return _as_scalar(other) + (-self)
+
+    def __mul__(self, other):
+        other = _as_scalar(other)
+        if not self.terms or not other.terms:
+            return _SE_ZERO
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = _mono_mul(m1, m2)
+                c = c1 * c2
+                acc = out.get(mono, G_ZERO) + c
+                if acc:
+                    out[mono] = acc
+                else:
+                    out.pop(mono, None)
+        return ScalarExpr(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return _SE_ONE
+        if k < 0:
+            return self.inverse_monomial() ** (-k)
+        out = _SE_ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def inverse_monomial(self) -> "ScalarExpr":
+        """Invert a single-monomial expression (used for leading symbols)."""
+        if len(self.terms) != 1:
+            raise ValueError("only monomial expressions are invertible")
+        (mono, coeff), = self.terms.items()
+        inv = []
+        for atom, exp in mono:
+            if atom[0] not in FUNC_BASES or atom[1]:
+                raise ValueError(f"cannot invert atom {atom!r}")
+            inv.append((atom, -exp))
+        return ScalarExpr({tuple(inv): G_ONE / coeff})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, GaussRat)):
+            other = ScalarExpr.const(other)
+        if not isinstance(other, ScalarExpr):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- differentiation ---------------------------------------------------
+
+    def derive_x(self, j: int, geom: str = "formal") -> "ScalarExpr":
+        """Formal coordinate derivative d/dx_j.
+
+        Leibniz over monomials; chain rule on powers.  ``geom`` controls what
+        happens when the derivative lands on a geometric atom: ``"formal"``
+        appends to its multi-index (only supported for ``s`` and ``R``),
+        ``"drop"`` discards the contribution (the point-context closure used
+        by the symbol calculus).  Constants (wp, S6, Om4, pi) differentiate
+        to zero either way.
+        """
+        if not 1 <= j <= 6:
+            raise ValueError("coordinate index out of range")
+        out = ScalarExpr.zero()
+        for mono, coeff in self.terms.items():
+            for idx, (atom, exp) in enumerate(mono):
+                datom = _atom_derivative(atom, j, geom)
+                if datom is None:
+                    continue
+                rest = _mono_with_exp(mono, idx, exp - 1)
+                piece = ScalarExpr({rest: coeff * exp})
+                out = out + piece * ScalarExpr.atom(datom)
+        return out
+
+    # -- substitution and evaluation ---------------------------------------
+
+    def map_func_atoms(self, mapping: Callable[[tuple], "ScalarExpr"]) -> "ScalarExpr":
+        """Rewrite every function atom through ``mapping``; other atoms pass."""
+        out = ScalarExpr.zero()
+        for mono, coeff in self.terms.items():
+            piece = ScalarExpr.const(coeff)
+            for atom, exp in mono:
+                if atom[0] in FUNC_BASES:
+                    rep = mapping(atom)
+                    piece = piece * rep ** exp
+                else:
+                    piece = piece * ScalarExpr.atom(atom, exp)
+            out = out + piece
+        return out
+
+    def evaluate(self, assign: Mapping[tuple, GaussRat]) -> GaussRat:
+        """Exact evaluation with Gaussian-rational atom values."""
+        total = G_ZERO
+        for mono, coeff in self.terms.items():
+            val = coeff
+            for atom, exp in mono:
+                val = val * as_gauss(assign[atom]) ** exp
+            total = total + val
+        return total
+
+    def evaluate_complex(self, assign: Mapping[tuple, complex]) -> complex:
+        total = 0j
+        for mono, coeff in self.terms.items():
+            val = coeff.to_complex()
+            for atom, exp in mono:
+                val *= complex(assign[atom]) ** exp
+            total += val
+        return total
+
+    def atoms(self) -> set:
+        out = set()
+        for mono in self.terms:
+            for atom, _ in mono:
+                out.add(atom)
+        return out
+
+    # -- display -----------------------------------------------------------
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for mono, coeff in self.sorted_terms():
+            parts.append(_term_str(mono, coeff))
+        text = parts[0]
+        for p in parts[1:]:
+            if p.startswith("-"):
+                text += " - " + p[1:]
+            else:
+                text += " + " + p
+        return text
+
+    def __repr__(self):
+        return f"<ScalarExpr {self}>"
+
+
+def _as_scalar(x) -> ScalarExpr:
+    if isinstance(x, ScalarExpr):
+        return x
+    if isinstance(x, (int, Fraction, GaussRat)):
+        return ScalarExpr.const(x)
+    raise TypeError(f"cannot coerce {x!r} to ScalarExpr")
+
+
+def _validate_atom(atom, exp):
+    kind = atom[0]
+    if kind not in _KIND_RANK:
+        raise ValueError(f"unknown atom kind {kind!r}")
+    if kind in FUNC_BASES:
+        beta = atom[1]
+        if len(beta) > MAX_DERIV_ORDER:
+            raise DerivativeOrderError(f"derivative order {len(beta)} exceeds bound")
+        if tuple(sorted(beta)) != beta:
+            raise ValueError("derivative multi-index must be sorted")
+        if beta and exp < 0:
+            raise ValueError("derived atoms only enter with positive powers")
+    if kind == "R" and atom[1] > atom[2]:
+        raise ValueError("R indices must be sorted")
+    if kind == "om" and atom[2] >= atom[3]:
+        raise ValueError("om atom requires s < t")
+
+
+def _mono_mul(m1, m2):
+    acc: dict = {}
+    for atom, exp in m1:
+        acc[atom] = acc.get(atom, 0) + exp
+    for atom, exp in m2:
+        acc[atom] = acc.get(atom, 0) + exp
+    return tuple(sorted(((a, e) for a, e in acc.items() if e != 0),
+                        key=lambda ae: _atom_key(ae[0])))
+
+
+def _mono_with_exp(mono, idx, new_exp):
+    items = list(mono)
+    atom, _ = items[idx]
+    if new_exp == 0:
+        del items[idx]
+    else:
+        items[idx] = (atom, new_exp)
+    return tuple(items)
+
+
+def _atom_derivative(atom, j, geom):
+    """Derivative of a single atom, or None if it vanishes / is dropped."""
+    kind = atom[0]
+    if kind in FUNC_BASES:
+        beta = atom[1]
+        if len(beta) >= MAX_DERIV_ORDER:
+            raise DerivativeOrderError(
+                f"derivative of {atom_str(atom)} exceeds order {MAX_DERIV_ORDER}")
+        return (kind, tuple(sorted(beta + (j,))))
+    if atom in CONSTANT_ATOMS:
+        return None
+    if kind in DROPPED_DERIV_KINDS:
+        if geom == "drop":
+            return None
+        if kind == "s":
+            return ("s", tuple(sorted(atom[1] + (j,))))
+        if kind == "R":
+            raise DerivativeOrderError("formal derivative of R atoms is unsupported")
+        raise DerivativeOrderError(f"formal derivative of {atom_str(atom)} is unsupported")
+    raise ValueError(f"unknown atom {atom!r}")
+
+
+def _mono_key(mono):
+    return tuple(_atom_key(a) + (e,) for a, e in mono)
+
+
+def _term_str(mono, coeff):
+    factors = []
+    for atom, exp in mono:
+        s = atom_str(atom)
+        if exp != 1:
+            s += f"^{exp}"
+        factors.append(s)
+    neg = coeff.im == 0 and coeff.re < 0
+    if neg:
+        coeff = -coeff
+    cstr = str(coeff)
+    body = "*".join(factors)
+    if not factors:
+        out = cstr
+    elif cstr == "1":
+        out = body
+    else:
+        if ("/" in cstr or "*" in cstr) and not cstr.startswith("("):
+            cstr = f"({cstr})"
+        out = f"{cstr}*{body}"
+    return ("-" + out) if neg else out
+
+
+_SE_ZERO = ScalarExpr({})
+_SE_ONE = ScalarExpr({(): G_ONE})
+
+
+# ---------------------------------------------------------------------------
+# Builders for the atoms this computation actually uses
+
+
+def f_pow(p: int = 1) -> ScalarExpr:
+    return ScalarExpr.atom(("f", ()), p)
+
+
+def h_pow(p: int = 1) -> ScalarExpr:
+    return ScalarExpr.atom(("h", ()), p)
+
+
+def u_pow(p: int = 1) -> ScalarExpr:
+    return ScalarExpr.atom(("u", ()), p)
+
+
+def fh_pow(p: int = 1) -> ScalarExpr:
+    """(fh)^p in the canonical basis, i.e. f^p h^p."""
+    return f_pow(p) * h_pow(p)
+
+
+def dfunc(base: str, *beta: int) -> ScalarExpr:
+    return ScalarExpr.atom((base, tuple(sorted(beta))))
+
+
+def s_atom() -> ScalarExpr:
+    return ScalarExpr.atom(("s", ()))
+
+
+def riem(a: int, b: int) -> ScalarExpr:
+    a, b = sorted((a, b))
+    return ScalarExpr.atom(("R", a, b, ()))
+
+
+def wp() -> ScalarExpr:
+    return ScalarExpr.atom(("wp",))
+
+
+def gam(mu: int) -> ScalarExpr:
+    return ScalarExpr.atom(("Gam", mu))
+
+
+def sig(mu: int) -> ScalarExpr:
+    return ScalarExpr.atom(("sig", mu))
+
+
+def omega(i: int, s: int, t: int) -> ScalarExpr:
+    """omega_{s,t}(e_i); antisymmetric in (s,t)."""
+    if s == t:
+        return ScalarExpr.zero()
+    if s < t:
+        return ScalarExpr.atom(("om", i, s, t))
+    return -ScalarExpr.atom(("om", i, t, s))
+
+
+def curv0() -> ScalarExpr:
+    return ScalarExpr.atom(("curv0",))
+
+
+def area_s6() -> ScalarExpr:
+    return ScalarExpr.atom(("S6",))
+
+
+def omega4() -> ScalarExpr:
+    return ScalarExpr.atom(("Om4",))
+
+
+def pi_atom(power: int = 1) -> ScalarExpr:
+    return ScalarExpr.atom(("pi",), power)
+
+
+def imag() -> GaussRat:
+    return G_I
+
+
+def rat(n, d=1) -> Fraction:
+    return Fraction(n, d)
+
+
+def sc(n, d=1) -> ScalarExpr:
+    return ScalarExpr.const(Fraction(n, d))
+
+
+def subst_area() -> Callable[[ScalarExpr], ScalarExpr]:
+    """Substitution area(S_6) -> pi^3, applied at report time only."""
+    def run(e: ScalarExpr) -> ScalarExpr:
+        out = ScalarExpr.zero()
+        for mono, coeff in e.terms.items():
+            piece = ScalarExpr.const(coeff)
+            for atom, exp in mono:
+                if atom == ("S6",):
+                    piece = piece * pi_atom(3 * exp)
+                else:
+                    piece = piece * ScalarExpr.atom(atom, exp)
+            out = out + piece
+        return out
+    return run
+
+
+# ---------------------------------------------------------------------------
+# Display grouping: rewrite sums of first/second derivative contractions in
+# terms of g(grad u, grad v), |grad u|^2 and lap(u) for a fixed dictionary of
+# composites.  Display only; equality always runs on the expanded basis.
+
+_COMPOSITES: list[tuple[str, ScalarExpr]] = []
+
+
+def _composites():
+    global _COMPOSITES
+    if not _COMPOSITES:
+        _COMPOSITES = [
+            ("(fh)^-3f", f_pow(-2) * h_pow(-3)),
+            ("(fh)^-3", fh_pow(-3)),
+            ("(fh)^-2", fh_pow(-2)),
+            ("(fh)^-1", fh_pow(-1)),
+            ("fh", fh_pow(1)),
+            ("f", f_pow(1)),
+            ("h", h_pow(1)),
+        ]
+    return _COMPOSITES
+
+
+def _grad_pair(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
+    total = ScalarExpr.zero()
+    for j in range(1, 7):
+        total = total + u.derive_x(j) * v.derive_x(j)
+    return total
+
+
+def _laplacian(u: ScalarExpr) -> ScalarExpr:
+    total = ScalarExpr.zero()
+    for j in range(1, 7):
+        total = total + u.derive_x(j).derive_x(j)
+    return total
+
+
+def _grad_label(lu, lv):
+    return f"|grad[{lu}]|^2" if lu == lv else f"g(grad[{lu}],grad[{lv}])"
+
+
+def _solver_patterns():
+    """Ranked, low-degeneracy dictionary for the exact grouping solver.
+
+    Gradients of power composites are proportional to gradients of fh, so the
+    solver works over gradients of the basic functions plus Laplacians of
+    every dictionary composite; preference follows list order.
+    """
+    f, h, fh = f_pow(1), h_pow(1), f_pow(1) * h_pow(1)
+    basics = [("f", f), ("h", h), ("fh", fh)]
+    pats = []
+    for i, (lu, eu) in enumerate(basics):
+        for lv, ev in basics[i:]:
+            pats.append((_grad_label(lu, lv), _grad_pair(eu, ev)))
+    for lu, eu in basics:
+        pats.append((f"lap[{lu}]", _laplacian(eu)))
+    for lu, eu in _composites():
+        if lu in ("f", "h", "fh"):
+            continue
+        pats.append((f"lap[{lu}]", _laplacian(eu)))
+    return pats
+
+
+def _pattern_list():
+    """Full dictionary (incl. composite gradients) for greedy extraction."""
+    comps = _composites()
+    pats = []
+    for li, (lu, eu) in enumerate(comps):
+        pats.append((f"lap[{lu}]", _laplacian(eu)))
+    for li, (lu, eu) in enumerate(comps):
+        for lv, ev in comps[li:]:
+            pats.append((_grad_label(lu, lv), _grad_pair(eu, ev)))
+    # try patterns with many canonical monomials first so composite gradients
+    # are recognized before their single-class pieces
+    pats.sort(key=lambda p: (-len(p[1].terms), p[0]))
+    return pats
+
+
+_PATTERNS = None
+_SOLVER_PATTERNS = None
+
+
+def _is_derivative_atom(atom) -> bool:
+    kind = atom[0]
+    if kind in FUNC_BASES:
+        return bool(atom[1])
+    if kind == "s":
+        return bool(atom[1])
+    return False
+
+
+def _prefactor_split(mono):
+    """Split a monomial into (prefactor part, derivative-atom part).
+
+    The prefactor collects plain function powers and constant/geometric
+    atoms (pi, areas, curvature); only derivative atoms form the pattern
+    signature.
+    """
+    base, rest = [], []
+    for atom, exp in mono:
+        if _is_derivative_atom(atom):
+            rest.append((atom, exp))
+        else:
+            base.append((atom, exp))
+    return tuple(base), tuple(rest)
+
+
+def _power_label(base_mono) -> str:
+    a = b = 0
+    extra = []
+    for atom, exp in base_mono:
+        if atom == ("f", ()):
+            a = exp
+        elif atom == ("h", ()):
+            b = exp
+        else:
+            s = atom_str(atom)
+            extra.append(s if exp == 1 else f"{s}^{exp}")
+    k = min(a, b)
+    parts = []
+    if k != 0:
+        parts.append(f"(fh)^{k}" if k != 1 else "fh")
+    if a - k:
+        parts.append("f" if a - k == 1 else f"f^{a-k}")
+    if b - k:
+        parts.append("h" if b - k == 1 else f"h^{b-k}")
+    parts.extend(extra)
+    return "*".join(parts)
+
+
+def group_for_display(e: ScalarExpr) -> str:
+    """Best-effort grouped rendering of a canonical expression.
+
+    Builds the candidate set "dictionary pattern times f/h-power prefactor"
+    suggested by the expression itself and solves for an exact combination
+    by row reduction; whatever cannot be expressed that way falls back to a
+    greedy exact-multiple extraction and finally to the expanded form.
+    Display only; equality checks always run on the expanded basis.
+    """
+    if e.is_zero():
+        return "0"
+    pieces, remaining = _solve_grouping(e)
+    if remaining.terms:
+        extracted, remaining = _greedy_grouping(remaining)
+        pieces.extend(extracted)
+    if remaining.terms:
+        tail = str(remaining)
+        pieces.append(("+" + tail) if not tail.startswith("-") else tail)
+    if not pieces:
+        return "0"
+    text = " ".join(pieces).strip()
+    if text.startswith("+"):
+        text = text[1:].lstrip()
+    return text
+
+
+def _format_piece(coeff: GaussRat, pre: str, label: str) -> str:
+    neg = coeff.im == 0 and coeff.re < 0
+    if neg:
+        coeff = -coeff
+    cstr = str(coeff)
+    if "/" in cstr or "*" in cstr:
+        cstr = f"({cstr})"
+    body = label if not pre else f"{pre}*{label}"
+    if cstr != "1":
+        body = f"{cstr}*{body}"
+    return ("-" if neg else "+") + body
+
+
+def _candidate_set(e: ScalarExpr):
+    """All (label, prefactor-shift, expanded pattern) hinted by e's terms."""
+    global _SOLVER_PATTERNS
+    if _SOLVER_PATTERNS is None:
+        _SOLVER_PATTERNS = _solver_patterns()
+    seen = set()
+    cands = []
+    for rank, (label, pat) in enumerate(_SOLVER_PATTERNS):
+        sigs = {}
+        for p_mono, _ in pat.sorted_terms():
+            pb, pr = _prefactor_split(p_mono)
+            sigs.setdefault(pr, pb)
+        for mono in e.terms:
+            base, rest = _prefactor_split(mono)
+            pb = sigs.get(rest)
+            if pb is None:
+                continue
+            shift = _mono_div(base, pb)
+            if shift is None:
+                continue
+            key = (label, shift)
+            if key in seen:
+                continue
+            seen.add(key)
+            shifted = ScalarExpr({shift: G_ONE}) * pat
+            cands.append((rank, label, shift, shifted))
+    cands.sort(key=lambda c: (c[0], c[2]))
+    return [(label, shift, pat) for _, label, shift, pat in cands]
+
+
+def _solve_grouping(e: ScalarExpr):
+    """Exact row-reduction solve of e over the candidate patterns.
+
+    Monomials no candidate can reach are split off as a residual before
+    solving; the system itself must then balance exactly or the whole
+    expression falls through to the greedy pass.
+    """
+    cands = _candidate_set(e)
+    if not cands:
+        return [], e
+    covered = {m for _, _, pat in cands for m in pat.terms}
+    residual = ScalarExpr({m: c for m, c in e.terms.items() if m not in covered})
+    target = ScalarExpr({m: c for m, c in e.terms.items() if m in covered})
+    if target.is_zero():
+        return [], e
+    monos = sorted(covered, key=_mono_key)
+    cols = len(cands)
+    rows = []
+    for m in monos:
+        row = [pat.terms.get(m, G_ZERO) for _, _, pat in cands]
+        row.append(target.terms.get(m, G_ZERO))
+        rows.append(row)
+    # row reduce
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = G_ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    # inconsistent?
+    for i in range(r, len(rows)):
+        if rows[i][cols]:
+            return [], e
+    coeffs = [G_ZERO] * cols
+    for row_i, c in enumerate(pivot_cols):
+        coeffs[c] = rows[row_i][cols]
+    pieces = []
+    for (label, shift, _), coeff in zip(cands, coeffs):
+        if not coeff:
+            continue
+        pieces.append(_format_piece(coeff, _power_label(shift), label))
+    return pieces, residual
+
+
+def _greedy_grouping(e: ScalarExpr):
+    global _PATTERNS
+    if _PATTERNS is None:
+        _PATTERNS = _pattern_list()
+    remaining = e
+    pieces: list[str] = []
+    progress = True
+    while progress and remaining.terms:
+        progress = False
+        for label, pat in _PATTERNS:
+            hit = _try_extract(remaining, pat)
+            if hit is None:
+                continue
+            coeff, base_mono, new_rem = hit
+            pieces.append(_format_piece(coeff, _power_label(base_mono), label))
+            remaining = new_rem
+            progress = True
+            break
+    return pieces, remaining
+
+
+def _try_extract(e: ScalarExpr, pattern: ScalarExpr):
+    """Find c and an f/h-power prefactor m with c*m*pattern contained in e."""
+    pat_terms = pattern.sorted_terms()
+    if not pat_terms:
+        return None
+    p_mono0, p_c0 = pat_terms[0]
+    pre_base0, p_rest0 = _prefactor_split(p_mono0)
+    for mono, coeff in e.sorted_terms():
+        base, rest = _prefactor_split(mono)
+        if rest != p_rest0:
+            continue
+        shift = _mono_div(base, pre_base0)
+        if shift is None:
+            continue
+        c = coeff / p_c0
+        # check every pattern monomial appears with exactly this coefficient
+        candidate = {}
+        ok = True
+        for p_mono, p_c in pat_terms:
+            pb, pr = _prefactor_split(p_mono)
+            target = _mono_mul(tuple(pb), tuple(shift))
+            target_mono = _mono_mul(target, pr)
+            have = e.terms.get(target_mono)
+            if have is None or have != p_c * c:
+                ok = False
+                break
+            candidate[target_mono] = p_c * c
+        if not ok:
+            continue
+        out = dict(e.terms)
+        for m in candidate:
+            del out[m]
+        return c, tuple(shift), ScalarExpr(out)
+    return None
+
+
+def _mono_div(mono, by):
+    acc = {a: e for a, e in mono}
+    for atom, exp in by:
+        acc[atom] = acc.get(atom, 0) - exp
+    for atom, exp in list(acc.items()):
+        if exp == 0:
+            del acc[atom]
+        elif _is_derivative_atom(atom):
+            return None
+    return tuple(sorted(acc.items(), key=lambda ae: _atom_key(ae[0])))
+
+
+def canonicalize(e: ScalarExpr) -> ScalarExpr:
+    """Identity on ScalarExpr (construction already canonicalizes)."""
+    return ScalarExpr(dict(e.terms))

@@ -1,0 +1,473 @@
+"""Graded symbol algebra in xi with ScalarExpr x Clifford coefficients.
+
+A symbol is stored per homogeneity order as a map from xi-monomials to
+Clifford elements (whose coefficients are ScalarExpr).  A xi-monomial is a
+pair ``(exps, p)`` meaning ``xi_1^e1 ... xi_6^e6 * |xi|^(2p)``; |xi|^2 is a
+first-class generator so negative powers stay exact, and the relation
+sum_j xi_j^2 = |xi|^2 is applied only by the restriction maps and by sphere
+integration.
+
+Point contexts fix the evaluation rules at the computation point:
+
+* Interior: normal coordinates at an interior point.  Connection atoms
+  vanish, x-derivatives of metric quantities vanish, d/dx of c(xi) vanishes.
+* Boundary: collar coordinates at a boundary point.  d/dx_n |xi|^2 produces
+  w'(0)|xi'|^2 and the connection atoms take their boundary values
+  (Gam[n] -> 5/2 w', sig[k] -> 1/4 w' c_k c_n for k < n, sig[n] -> 0).
+
+x-derivatives of curvature-type atoms are dropped in both modes: their net
+effect on the inverse symbols is carried by the imported curvature terms of
+the order -4 symbol (see calculus module).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
+from typing import Iterable, Mapping
+
+from .clifford import CliffordElement
+from .scalars import (
+    G_I,
+    ScalarExpr,
+    _as_scalar,
+    sc,
+    wp,
+)
+
+DIM = 6
+N_COORD = 6  # the distinguished normal coordinate index is 6
+
+XiMon = tuple  # ((e1..e6), p)
+
+XIM_ONE: XiMon = ((0, 0, 0, 0, 0, 0), 0)
+
+
+def xim(exps=(0, 0, 0, 0, 0, 0), p: int = 0) -> XiMon:
+    return (tuple(exps), p)
+
+
+def xim_xi(j: int, k: int = 1) -> XiMon:
+    e = [0] * 6
+    e[j - 1] = k
+    return (tuple(e), 0)
+
+
+def xim_norm(p: int) -> XiMon:
+    return ((0, 0, 0, 0, 0, 0), p)
+
+
+def xim_mul(a: XiMon, b: XiMon) -> XiMon:
+    return (tuple(x + y for x, y in zip(a[0], b[0])), a[1] + b[1])
+
+
+def xim_degree(a: XiMon) -> int:
+    return sum(a[0]) + 2 * a[1]
+
+
+def xim_str(a: XiMon) -> str:
+    parts = []
+    for j, e in enumerate(a[0], start=1):
+        if e == 1:
+            parts.append(f"xi{j}")
+        elif e:
+            parts.append(f"xi{j}^{e}")
+    if a[1]:
+        parts.append(f"|xi|^{2 * a[1]}")
+    return "*".join(parts) if parts else "1"
+
+
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PointContext:
+    """Evaluation mode at the computation point; dimension fixed at 6."""
+
+    mode: str  # "interior" | "boundary"
+
+    def __post_init__(self):
+        if self.mode not in ("interior", "boundary"):
+            raise ValueError("mode must be 'interior' or 'boundary'")
+
+    @property
+    def is_boundary(self) -> bool:
+        return self.mode == "boundary"
+
+
+INTERIOR = PointContext("interior")
+BOUNDARY = PointContext("boundary")
+
+
+class SymbolExpr:
+    """Graded symbol: {order: {xi-monomial: CliffordElement}}."""
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders: Mapping[int, Mapping[XiMon, CliffordElement]] | None = None):
+        clean: dict = {}
+        if orders:
+            for order, terms in orders.items():
+                row = {}
+                for mono, el in terms.items():
+                    if xim_degree(mono) != order:
+                        raise ValueError(
+                            f"term {xim_str(mono)} stored under order {order}")
+                    if el:
+                        row[mono] = el
+                if row:
+                    clean[order] = row
+        object.__setattr__(self, "orders", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymbolExpr is immutable")
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def zero() -> "SymbolExpr":
+        return _S_ZERO
+
+    @staticmethod
+    def term(mono: XiMon, el: CliffordElement) -> "SymbolExpr":
+        return SymbolExpr({xim_degree(mono): {mono: el}})
+
+    @staticmethod
+    def scalar_term(mono: XiMon, coeff: ScalarExpr) -> "SymbolExpr":
+        return SymbolExpr.term(mono, CliffordElement.identity(coeff))
+
+    @staticmethod
+    def xi_covector() -> "SymbolExpr":
+        """c(xi) = sum_j xi_j c_j as an order-1 symbol."""
+        return SymbolExpr({1: {xim_xi(j): CliffordElement.generator(j)
+                               for j in range(1, 7)}})
+
+    @staticmethod
+    def norm_sq(p: int = 1, coeff=1) -> "SymbolExpr":
+        return SymbolExpr.scalar_term(xim_norm(p), _as_scalar(coeff))
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, SymbolExpr):
+            return NotImplemented
+        out = {o: dict(t) for o, t in self.orders.items()}
+        for o, terms in other.orders.items():
+            row = out.setdefault(o, {})
+            for mono, el in terms.items():
+                acc = row.get(mono, CliffordElement.zero()) + el
+                if acc:
+                    row[mono] = acc
+                else:
+                    row.pop(mono, None)
+        return SymbolExpr(out)
+
+    def __neg__(self):
+        return SymbolExpr({o: {m: -el for m, el in t.items()}
+                           for o, t in self.orders.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s) -> "SymbolExpr":
+        s = _as_scalar(s)
+        if not s:
+            return _S_ZERO
+        return SymbolExpr({o: {m: el.scale(s) for m, el in t.items()}
+                           for o, t in self.orders.items()})
+
+    def cliff_lmul(self, c: CliffordElement) -> "SymbolExpr":
+        return SymbolExpr({o: {m: c * el for m, el in t.items()}
+                           for o, t in self.orders.items()})
+
+    def cliff_rmul(self, c: CliffordElement) -> "SymbolExpr":
+        return SymbolExpr({o: {m: el * c for m, el in t.items()}
+                           for o, t in self.orders.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, SymbolExpr):
+            return NotImplemented
+        return self.orders == other.orders
+
+    def __bool__(self):
+        return bool(self.orders)
+
+    def order_part(self, k: int) -> "SymbolExpr":
+        if k not in self.orders:
+            return _S_ZERO
+        return SymbolExpr({k: dict(self.orders[k])})
+
+    def top_order(self) -> int:
+        if not self.orders:
+            raise ValueError("zero symbol has no top order")
+        return max(self.orders)
+
+    def truncate_below(self, lowest: int) -> "SymbolExpr":
+        return SymbolExpr({o: dict(t) for o, t in self.orders.items() if o >= lowest})
+
+    def terms(self) -> Iterable[tuple[int, XiMon, CliffordElement]]:
+        for o in sorted(self.orders, reverse=True):
+            for mono in sorted(self.orders[o]):
+                yield o, mono, self.orders[o][mono]
+
+    # -- pointwise product (no derivative corrections) ------------------------
+
+    def mul(self, other: "SymbolExpr") -> "SymbolExpr":
+        out: dict = {}
+        for o1, t1 in self.orders.items():
+            for o2, t2 in other.orders.items():
+                row = out.setdefault(o1 + o2, {})
+                for m1, e1 in t1.items():
+                    for m2, e2 in t2.items():
+                        mono = xim_mul(m1, m2)
+                        prod = e1 * e2
+                        if not prod:
+                            continue
+                        acc = row.get(mono, CliffordElement.zero()) + prod
+                        if acc:
+                            row[mono] = acc
+                        else:
+                            row.pop(mono, None)
+        return SymbolExpr(out)
+
+    # -- xi-derivative ---------------------------------------------------------
+
+    def derive_xi(self, mu: int) -> "SymbolExpr":
+        """d/dxi_mu; every term drops by one homogeneity order."""
+        if not 1 <= mu <= 6:
+            raise ValueError("xi index out of range")
+        out = SymbolExpr.zero()
+        for o, terms in self.orders.items():
+            for (exps, p), el in terms.items():
+                e_mu = exps[mu - 1]
+                if e_mu:
+                    new = list(exps)
+                    new[mu - 1] -= 1
+                    out = out + SymbolExpr.term((tuple(new), p), el.scale(sc(e_mu)))
+                if p:
+                    new = list(exps)
+                    new[mu - 1] += 1
+                    out = out + SymbolExpr.term((tuple(new), p - 1), el.scale(sc(2 * p)))
+        return out
+
+    # -- x-derivative under a point context -----------------------------------
+
+    def derive_x(self, j: int, ctx: PointContext) -> "SymbolExpr":
+        """d/dx_j at the computation point under the context rules.
+
+        Scalar coefficients differentiate with the curvature-closure drop;
+        |xi|^(2p) contributes p * w'(0) |xi'|^2 |xi|^(2p-2) in boundary mode
+        for j = n and nothing otherwise; Clifford words are covariantly
+        constant at the point in interior mode.
+        """
+        out = SymbolExpr.zero()
+        boundary_n = ctx.is_boundary and j == N_COORD
+        for o, terms in self.orders.items():
+            for (exps, p), el in terms.items():
+                dcoeff = el.map_scalars(lambda c: c.derive_x(j, geom="drop"))
+                if dcoeff:
+                    out = out + SymbolExpr.term((exps, p), dcoeff)
+                if boundary_n:
+                    if any(w for w in el.terms):
+                        # d/dx_n of Clifford content at the boundary point is
+                        # a frame derivative this computation never needs
+                        raise NotImplementedError(
+                            "normal derivative of Clifford content")
+                    if p:
+                        # d/dx_n |xi|^(2p) = p w'(0) |xi'|^2 |xi|^(2p-2),
+                        # with |xi'|^2 = |xi|^2 - xi_n^2
+                        base = el.scale(wp() * sc(p))
+                        out = out + SymbolExpr.term((exps, p), base)
+                        xn2 = list(exps)
+                        xn2[N_COORD - 1] += 2
+                        out = out + SymbolExpr.term((tuple(xn2), p - 1), -base)
+        return out
+
+    # -- restrictions ----------------------------------------------------------
+
+    def restrict_sphere(self) -> dict:
+        """|xi| = 1: returns {(exps, word): ScalarExpr} with |xi|^2 -> 1."""
+        out: dict = {}
+        for o, terms in self.orders.items():
+            for (exps, p), el in terms.items():
+                for w, c in el.terms.items():
+                    key = (exps, w)
+                    acc = out.get(key, ScalarExpr.zero()) + c
+                    if acc:
+                        out[key] = acc
+                    else:
+                        out.pop(key, None)
+        return out
+
+    # -- display ----------------------------------------------------------------
+
+    def dump_lines(self) -> list[str]:
+        lines = []
+        for o, mono, el in self.terms():
+            for w, c in el.sorted_terms():
+                from .clifford import word_str
+                lines.append(
+                    f"order={o} | {c} | xi={xim_str(mono)} | cliff={word_str(w)}")
+        return lines
+
+    def __str__(self):
+        return "\n".join(self.dump_lines()) or "0"
+
+    def __repr__(self):
+        n = sum(len(t) for t in self.orders.values())
+        return f"<SymbolExpr orders={sorted(self.orders, reverse=True)} terms={n}>"
+
+
+_S_ZERO = SymbolExpr({})
+
+
+# ---------------------------------------------------------------------------
+# Context evaluation of connection atoms
+
+
+def _boundary_gam_value(mu: int) -> ScalarExpr:
+    # Gam[n](x0) = 5/2 w'(0); Gam[k](x0) = 0 for k < n
+    if mu == N_COORD:
+        return sc(5, 2) * wp()
+    return ScalarExpr.zero()
+
+
+def _boundary_sig_value(mu: int) -> CliffordElement:
+    # sig[k](x0) = 1/4 w'(0) c_k c_n for k < n; sig[n](x0) = 0
+    if mu == N_COORD:
+        return CliffordElement.zero()
+    return CliffordElement.word((mu, N_COORD), coeff=sc(1, 4) * wp())
+
+
+def _boundary_om_value(i: int, s: int, t: int) -> ScalarExpr:
+    # omega_{n,k}(e_k) = 1/2 w'(0) for k < n, stored as om[k, k, n] = -1/2 w'
+    if s == i and t == N_COORD and i < N_COORD:
+        return sc(-1, 2) * wp()
+    return ScalarExpr.zero()
+
+
+def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
+    """Evaluate connection/curvature-remainder atoms at the point.
+
+    Interior: Gam, sig, om and curv0 all evaluate to zero.  Boundary: the
+    values above; sig atoms inject Clifford content (left multiplication).
+    Monomials with more than one connection atom only arise where the result
+    vanishes anyway, so a left fold in canonical atom order is well defined.
+    """
+    out = SymbolExpr.zero()
+    for o, terms in S.orders.items():
+        for mono, el in terms.items():
+            for w, coeff in el.terms.items():
+                repl = _eval_coeff(coeff, ctx)
+                for new_coeff, cliff_factor in repl:
+                    piece = CliffordElement({w: new_coeff})
+                    if cliff_factor is not None:
+                        piece = cliff_factor * piece
+                    out = out + SymbolExpr.term(mono, piece)
+    return out
+
+
+def _eval_coeff(coeff: ScalarExpr, ctx: PointContext):
+    """Evaluate connection atoms in a ScalarExpr.
+
+    Returns a list of (ScalarExpr, CliffordElement-or-None) pieces; the
+    Clifford factor (from sig atoms) multiplies from the left.
+    """
+    pieces = []
+    for mono, c in coeff.terms.items():
+        scal = ScalarExpr.const(c)
+        cliff = None
+        dead = False
+        for atom, exp in mono:
+            kind = atom[0]
+            if kind in ("Gam", "sig", "om", "curv0"):
+                if not ctx.is_boundary:
+                    dead = True
+                    break
+                if kind == "Gam":
+                    v = _boundary_gam_value(atom[1])
+                    if not v:
+                        dead = True
+                        break
+                    scal = scal * v ** exp
+                elif kind == "sig":
+                    v = _boundary_sig_value(atom[1])
+                    if not v:
+                        dead = True
+                        break
+                    for _ in range(exp):
+                        cliff = v if cliff is None else cliff * v
+                elif kind == "om":
+                    v = _boundary_om_value(atom[1], atom[2], atom[3])
+                    if not v:
+                        dead = True
+                        break
+                    scal = scal * v ** exp
+                else:  # curv0 has no boundary role in this computation
+                    dead = True
+                    break
+            else:
+                scal = scal * ScalarExpr.atom(atom, exp)
+        if dead or not scal:
+            continue
+        pieces.append((scal, cliff))
+    return pieces
+
+
+# ---------------------------------------------------------------------------
+# Composition
+
+
+def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
+            ctx: PointContext = INTERIOR) -> SymbolExpr:
+    """Asymptotic product sum_alpha (-i)^|a|/a! d_xi^a A * d_x^a B.
+
+    Truncated below ``lowest_order``; the multi-index sum runs over every
+    alpha that can still contribute at or above the truncation.  Order pairs
+    falling below the cutoff are skipped before any derivative is taken, so
+    the derivative-order bound is never exercised by discarded terms.
+    """
+    if not A.orders or not B.orders:
+        return SymbolExpr.zero()
+    top = A.top_order() + B.top_order()
+    if top < lowest_order:
+        raise ValueError("truncation bound incompatible with input orders")
+    max_k = top - lowest_order
+    total = SymbolExpr.zero()
+    for k in range(max_k + 1):
+        coeff_i = (G_I * -1) ** k  # (-i)^k
+        for alpha in combinations_with_replacement(range(1, 7), k):
+            fact = 1
+            for j in set(alpha):
+                fact *= factorial(alpha.count(j))
+            scale = ScalarExpr.const(coeff_i * Fraction(1, fact))
+            dA_cache: dict[int, SymbolExpr] = {}
+            dB_cache: dict[int, SymbolExpr] = {}
+            for a in A.orders:
+                for b in B.orders:
+                    if a - k + b < lowest_order:
+                        continue
+                    if a not in dA_cache:
+                        part = A.order_part(a)
+                        for mu in alpha:
+                            part = part.derive_xi(mu)
+                            if not part:
+                                break
+                        dA_cache[a] = part
+                    dA = dA_cache[a]
+                    if not dA:
+                        continue
+                    if b not in dB_cache:
+                        part = B.order_part(b)
+                        for mu in alpha:
+                            part = part.derive_x(mu, ctx)
+                            if not part:
+                                break
+                        dB_cache[b] = part
+                    dB = dB_cache[b]
+                    if not dB:
+                        continue
+                    total = total + dA.mul(dB).scale(scale)
+    return total.truncate_below(lowest_order)
