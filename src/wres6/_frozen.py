@@ -9,35 +9,19 @@ suite re-checks each one; the report embeds the ledger so every
 
 from __future__ import annotations
 
-from .clifford import CliffordElement
+from .clifford import c_of_d
 from .scalars import (
     ScalarExpr,
     f_pow,
     fh_pow,
+    grad_dot,
     h_pow,
+    lap,
     omega4,
     pi_atom,
     sc,
 )
 from .symbols import SymbolExpr, xim_norm
-
-
-def _c_of_d(u: ScalarExpr) -> CliffordElement:
-    return CliffordElement.covector([u.derive_x(j) for j in range(1, 7)])
-
-
-def _grad_dot(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
-    out = ScalarExpr.zero()
-    for j in range(1, 7):
-        out = out + u.derive_x(j) * v.derive_x(j)
-    return out
-
-
-def _lap(u: ScalarExpr) -> ScalarExpr:
-    out = ScalarExpr.zero()
-    for j in range(1, 7):
-        out = out + u.derive_x(j).derive_x(j)
-    return out
 
 
 def sigma6_diff() -> SymbolExpr:
@@ -72,7 +56,7 @@ def sigma6_diff() -> SymbolExpr:
     # printed -28, forced -24
     out = out + _xi_cliff(fh_pow(-6) * sc(4), _dfh, -4)
     # printed -4, forced -3
-    cdhf = _c_of_d(fh_pow(1))
+    cdhf = c_of_d(fh_pow(1))
     cxi = SymbolExpr.xi_covector()
     piece = cxi.cliff_lmul(cdhf)
     out = out + piece.mul(piece).scale(fh_pow(-6)).mul(
@@ -81,7 +65,7 @@ def sigma6_diff() -> SymbolExpr:
     out = out + _contracted_scalar(fh_pow(-6) * f * sc(-2), _dh, _dfh, -3)
     # class missing from the printed expansion
     for mu in range(1, 7):
-        cd = _c_of_d(fh_pow(1).derive_x(mu))
+        cd = c_of_d(fh_pow(1).derive_x(mu))
         out = out + cxi.cliff_lmul(cd).scale(fh_pow(-5) * sc(6)).mul(
             _st(_xim([(mu, 1)], -4), ScalarExpr.one()))
     return out
@@ -90,10 +74,10 @@ def sigma6_diff() -> SymbolExpr:
 def density_diff() -> ScalarExpr:
     """Forced density minus the printed assembled density (pi^3 units)."""
     f, h, fh = f_pow(1), h_pow(1), fh_pow(1)
-    return (fh_pow(-6) * f * sc(-1) * _grad_dot(h, fh)
-            + fh_pow(-6) * h * sc(-12) * _grad_dot(f, fh)
-            + fh_pow(-6) * _grad_dot(fh, fh)
-            + fh_pow(-5) * sc(-1) * _lap(fh)) * sc(8) * pi_atom(3)
+    return (fh_pow(-6) * f * sc(-1) * grad_dot(h, fh)
+            + fh_pow(-6) * h * sc(-12) * grad_dot(f, fh)
+            + fh_pow(-6) * grad_dot(fh, fh)
+            + fh_pow(-5) * sc(-1) * lap(fh)) * sc(8) * pi_atom(3)
 
 
 def boundary_case_correction() -> ScalarExpr:

@@ -359,11 +359,10 @@ class BoundaryExpr:
         return BoundaryExpr({})
 
     @staticmethod
-    def from_symbol(S: SymbolExpr, order: int | None = None) -> "BoundaryExpr":
+    def from_symbol(S: SymbolExpr) -> "BoundaryExpr":
         """Restrict to |xi'| = 1: |xi|^2 -> 1 + xi_n^2, xi_n powers folded in."""
         out: dict = {}
-        source = S if order is None else S.order_part(order)
-        for o, terms in source.orders.items():
+        for o, terms in S.orders.items():
             for (exps, p), el in terms.items():
                 xp = tuple(exps[:N_COORD - 1])
                 n_pow = exps[N_COORD - 1]
@@ -511,10 +510,6 @@ CASE_ALIASES = {"a1": "a.I", "a2": "a.II", "a3": "a.III", "b": "b", "c": "c",
                 "a.I": "a.I", "a.II": "a.II", "a.III": "a.III"}
 
 
-def _boundary_symbol_order(par, r: int) -> SymbolExpr:
-    return par.b2 if r == -2 else par.b3
-
-
 def phi_case_value(case: str) -> ScalarExpr:
     """Exact value of one boundary contribution (multiple of pi Omega_4)."""
     data = CASE_DATA[case]
@@ -526,7 +521,7 @@ def phi_case_value(case: str) -> ScalarExpr:
     alphas = [()] if nalpha == 0 else [(a,) for a in range(1, N_COORD)]
     total = XiRat.zero()
     for alpha in alphas:
-        left_sym = _boundary_symbol_order(par, r)
+        left_sym = par.b2 if r == -2 else par.b3
         for _ in range(j):
             left_sym = left_sym.derive_x(N_COORD, BOUNDARY)
         for a in alpha:
@@ -535,7 +530,7 @@ def phi_case_value(case: str) -> ScalarExpr:
         for _ in range(k):
             left = left.derive_xin()
 
-        right_sym = _boundary_symbol_order(par, l)
+        right_sym = par.b2 if l == -2 else par.b3
         for a in alpha:
             right_sym = right_sym.derive_x(a, BOUNDARY)
         for _ in range(k):

@@ -5,7 +5,8 @@ rescaled operator's symbol is assembled from the operator identity
 
     Q = fhfh D^2 + fhf [D^2, h] + fh c(d(hf)) D + f c(d(hf)) c(dh)
 
-with the commutator expanded by the graded commutator formula.  The inverse
+with the commutator formed by the same composition as every other product,
+sigma([D^2, h]) = sigma(D^2) o h - h sigma(D^2).  The inverse
 is built by the triangular parametrix recursion; the square's order -6
 symbol is produced both by direct composition and by the reduced
 combination  3 s2^-1 b_-4 + s2^-3 s0 + b_-3 b_-3 + s2^-2 s1 b_-3 + ... ,
@@ -31,12 +32,9 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import factorial
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, c_of_d
 from .scalars import (
     G_I,
     ScalarExpr,
@@ -65,22 +63,6 @@ from .symbols import (
 
 class RouteDisagreement(RuntimeError):
     """The two order -6 assembly routes produced different symbols."""
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    name: str
-    symbols: SymbolExpr
-    ctx: PointContext | None = None
-
-
-def covector_element(components) -> CliffordElement:
-    return CliffordElement.covector([components(j) for j in range(1, 7)])
-
-
-def c_of_d(u: ScalarExpr) -> CliffordElement:
-    """c(du) = sum_j (d_j u) c_j for a scalar function u."""
-    return CliffordElement.covector([u.derive_x(j) for j in range(1, 7)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,40 +100,6 @@ def build_d2_symbols() -> SymbolExpr:
     return out
 
 
-def commutator_symbol(S: SymbolExpr, u: ScalarExpr) -> SymbolExpr:
-    """Graded symbol of [S, u] for a multiplication operator u.
-
-    sum over multi-indices beta with |beta| >= 1 of
-    (-i)^|beta| (d_x^beta u / beta!) d_xi^beta sigma(S).
-    """
-    out = SymbolExpr.zero()
-    if not S.orders:
-        return out
-    max_deg = max(sum(m[0]) + 2 * max(m[1], 0) for t in S.orders.values() for m in t)
-    for k in range(1, max_deg + 1):
-        for beta in combinations_with_replacement(range(1, 7), k):
-            fact = 1
-            for j in set(beta):
-                fact *= factorial(beta.count(j))
-            du = u
-            for j in beta:
-                du = du.derive_x(j)
-                if not du:
-                    break
-            if not du:
-                continue
-            dS = S
-            for j in beta:
-                dS = dS.derive_xi(j)
-                if not dS:
-                    break
-            if not dS:
-                continue
-            coeff = du * ScalarExpr.const((-G_I) ** k * Fraction(1, fact))
-            out = out + dS.scale(coeff)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Q = (fDh)^2
 
@@ -166,9 +114,12 @@ def build_q_symbols() -> SymbolExpr:
     d1 = build_d_symbols()
     c_dhf = c_of_d(fh)  # hf = fh as scalar functions
     c_dh = c_of_d(h)
+    # [D^2, h]: the right factor is a function, so no context rule applies
+    h_sym = SymbolExpr.scalar_term(XIM_ONE, h)
+    comm = compose(d2, h_sym, 0) - d2.scale(h)
 
     q = d2.scale(fh * fh)
-    q = q + commutator_symbol(d2, h).scale(fh * f)
+    q = q + comm.scale(fh * f)
     q = q + d1.cliff_lmul(c_dhf).scale(fh)
     q = q + SymbolExpr.term(XIM_ONE, c_dhf * c_dh).scale(f)
     if set(q.orders) != {2, 1, 0}:
@@ -282,7 +233,7 @@ def interior_parametrix() -> Parametrix:
 def qinv_square_sigma6() -> SymbolExpr:
     """Order -6 symbol of Q^-2 at the interior point, both routes checked."""
     q = interior_q()
-    par = invert_symbol(q, INTERIOR, depth=3)
+    par = interior_parametrix()
     route_a = _route_direct(par)
     route_b = _route_reduced(q, par)
     if route_a != route_b:
@@ -341,25 +292,24 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
 # Named operator access (CLI dumps)
 
 
-def operator_symbols(name: str, ctx: PointContext | None = None) -> OperatorSpec:
+def operator_symbols(name: str, ctx: PointContext | None = None) -> SymbolExpr:
     name = name.strip()
     if name == "D":
-        return OperatorSpec("D", build_d_symbols(), ctx)
+        return build_d_symbols()
     if name == "D2":
-        return OperatorSpec("D2", build_d2_symbols(), ctx)
+        return build_d2_symbols()
     if name == "Q":
         sym = build_q_symbols()
         if ctx is not None:
             sym = apply_context(sym, ctx)
-        return OperatorSpec("Q", sym, ctx)
+        return sym
     if name == "Qinv":
         use = ctx or INTERIOR
         q = apply_context(build_q_symbols(), use)
         depth = 2 if use.is_boundary else 3
-        par = invert_symbol(q, use, depth=depth)
-        return OperatorSpec("Qinv", par.full_symbol(), use)
+        return invert_symbol(q, use, depth=depth).full_symbol()
     if name == "Qinv2":
         if ctx is not None and ctx.is_boundary:
             raise ValueError("Qinv2 is an interior-point computation")
-        return OperatorSpec("Qinv2", qinv_square_sigma6(), INTERIOR)
+        return qinv_square_sigma6()
     raise ValueError(f"unknown operator {name!r}")

@@ -38,10 +38,6 @@ def _const_one(atom):
     return ScalarExpr.one() if not atom[1] else ScalarExpr.zero()
 
 
-def _subst_f1h1(atom):
-    return _const_one(atom)
-
-
 def _subst_fh1(atom):
     base, beta = atom[0], atom[1]
     if base != "h":
@@ -74,7 +70,7 @@ def parse_specialization(text: str):
     """Parse a --specialize value into an atom-mapping function."""
     spec = text.replace(" ", "")
     if spec == "f=1,h=1":
-        return _subst_f1h1
+        return _const_one
     if spec == "fh=1":
         return _subst_fh1
     if spec.startswith("f=u^") and ",h=u^" in spec:
@@ -113,11 +109,20 @@ def load_ledger(path: str) -> list[dict]:
         raise CliError(f"malformed ledger file {path}: {exc}")
     if not isinstance(data, list):
         raise CliError(f"malformed ledger file {path}: expected a JSON list")
+    locations = set()
     for entry in data:
         if not isinstance(entry, dict) or not LEDGER_FIELDS <= set(entry):
             raise CliError(
                 f"malformed ledger file {path}: entries need fields "
                 f"{sorted(LEDGER_FIELDS)}")
+        if not all(isinstance(entry[k], str) for k in LEDGER_FIELDS):
+            raise CliError(
+                f"malformed ledger file {path}: fields "
+                f"{sorted(LEDGER_FIELDS)} must be strings")
+        if entry["location"] in locations:
+            raise CliError(f"malformed ledger file {path}: duplicate location "
+                           f"{entry['location']!r}")
+        locations.add(entry["location"])
     return data
 
 
@@ -165,8 +170,7 @@ def cmd_dump_symbols(args) -> int:
         ctx = INTERIOR
     elif args.context == "boundary":
         ctx = BOUNDARY
-    spec = operator_symbols(args.operator, ctx)
-    sym = spec.symbols
+    sym = operator_symbols(args.operator, ctx)
     if args.order is not None:
         sym = sym.order_part(args.order)
     _emit("\n".join(sym.dump_lines()) + "\n", args.out)

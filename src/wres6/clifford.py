@@ -161,6 +161,11 @@ class CliffordElement:
 _C_ZERO = CliffordElement({})
 
 
+def c_of_d(u: ScalarExpr) -> CliffordElement:
+    """c(du) = sum_j (d_j u) c_j for a scalar function u."""
+    return CliffordElement.covector([u.derive_x(j) for j in range(1, 7)])
+
+
 def word_str(w: tuple) -> str:
     if not w:
         return "1"

@@ -209,8 +209,8 @@ class ScalarExpr:
     """Canonical sum of monomials over the atom alphabet.
 
     ``terms`` maps a monomial (sorted tuple of (atom, exponent) pairs) to its
-    nonzero GaussRat coefficient.  Construction canonicalizes; instances are
-    treated as immutable.
+    nonzero GaussRat coefficient.  Construction yields the canonical form;
+    instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -598,14 +598,6 @@ def pi_atom(power: int = 1) -> ScalarExpr:
     return ScalarExpr.atom(("pi",), power)
 
 
-def imag() -> GaussRat:
-    return G_I
-
-
-def rat(n, d=1) -> Fraction:
-    return Fraction(n, d)
-
-
 def sc(n, d=1) -> ScalarExpr:
     return ScalarExpr.const(Fraction(n, d))
 
@@ -626,41 +618,26 @@ def subst_area() -> Callable[[ScalarExpr], ScalarExpr]:
     return run
 
 
-# ---------------------------------------------------------------------------
-# Display grouping: rewrite sums of first/second derivative contractions in
-# terms of g(grad u, grad v), |grad u|^2 and lap(u) for a fixed dictionary of
-# composites.  Display only; equality always runs on the expanded basis.
-
-_COMPOSITES: list[tuple[str, ScalarExpr]] = []
-
-
-def _composites():
-    global _COMPOSITES
-    if not _COMPOSITES:
-        _COMPOSITES = [
-            ("(fh)^-3f", f_pow(-2) * h_pow(-3)),
-            ("(fh)^-3", fh_pow(-3)),
-            ("(fh)^-2", fh_pow(-2)),
-            ("(fh)^-1", fh_pow(-1)),
-            ("fh", fh_pow(1)),
-            ("f", f_pow(1)),
-            ("h", h_pow(1)),
-        ]
-    return _COMPOSITES
-
-
-def _grad_pair(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
+def grad_dot(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
+    """g(grad u, grad v) = sum_j (d_j u)(d_j v) at the computation point."""
     total = ScalarExpr.zero()
     for j in range(1, 7):
         total = total + u.derive_x(j) * v.derive_x(j)
     return total
 
 
-def _laplacian(u: ScalarExpr) -> ScalarExpr:
+def lap(u: ScalarExpr) -> ScalarExpr:
+    """Delta u = sum_j d_j d_j u at the computation point."""
     total = ScalarExpr.zero()
     for j in range(1, 7):
         total = total + u.derive_x(j).derive_x(j)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Display grouping: rewrite sums of first/second derivative contractions in
+# terms of g(grad u, grad v), |grad u|^2 and lap(u) for a fixed dictionary of
+# f/h composites.  Display only; equality always runs on the expanded basis.
 
 
 def _grad_label(lu, lv):
@@ -672,39 +649,26 @@ def _solver_patterns():
 
     Gradients of power composites are proportional to gradients of fh, so the
     solver works over gradients of the basic functions plus Laplacians of
-    every dictionary composite; preference follows list order.
+    the basic functions and of the power composites; preference follows list
+    order.
     """
     f, h, fh = f_pow(1), h_pow(1), f_pow(1) * h_pow(1)
     basics = [("f", f), ("h", h), ("fh", fh)]
+    composites = [
+        ("(fh)^-3f", f_pow(-2) * h_pow(-3)),
+        ("(fh)^-3", fh_pow(-3)),
+        ("(fh)^-2", fh_pow(-2)),
+        ("(fh)^-1", fh_pow(-1)),
+    ]
     pats = []
     for i, (lu, eu) in enumerate(basics):
         for lv, ev in basics[i:]:
-            pats.append((_grad_label(lu, lv), _grad_pair(eu, ev)))
-    for lu, eu in basics:
-        pats.append((f"lap[{lu}]", _laplacian(eu)))
-    for lu, eu in _composites():
-        if lu in ("f", "h", "fh"):
-            continue
-        pats.append((f"lap[{lu}]", _laplacian(eu)))
+            pats.append((_grad_label(lu, lv), grad_dot(eu, ev)))
+    for lu, eu in basics + composites:
+        pats.append((f"lap[{lu}]", lap(eu)))
     return pats
 
 
-def _pattern_list():
-    """Full dictionary (incl. composite gradients) for greedy extraction."""
-    comps = _composites()
-    pats = []
-    for li, (lu, eu) in enumerate(comps):
-        pats.append((f"lap[{lu}]", _laplacian(eu)))
-    for li, (lu, eu) in enumerate(comps):
-        for lv, ev in comps[li:]:
-            pats.append((_grad_label(lu, lv), _grad_pair(eu, ev)))
-    # try patterns with many canonical monomials first so composite gradients
-    # are recognized before their single-class pieces
-    pats.sort(key=lambda p: (-len(p[1].terms), p[0]))
-    return pats
-
-
-_PATTERNS = None
 _SOLVER_PATTERNS = None
 
 
@@ -761,16 +725,13 @@ def group_for_display(e: ScalarExpr) -> str:
 
     Builds the candidate set "dictionary pattern times f/h-power prefactor"
     suggested by the expression itself and solves for an exact combination
-    by row reduction; whatever cannot be expressed that way falls back to a
-    greedy exact-multiple extraction and finally to the expanded form.
-    Display only; equality checks always run on the expanded basis.
+    by row reduction; whatever cannot be expressed that way is rendered in
+    expanded form.  Display only; equality checks always run on the expanded
+    basis.
     """
     if e.is_zero():
         return "0"
     pieces, remaining = _solve_grouping(e)
-    if remaining.terms:
-        extracted, remaining = _greedy_grouping(remaining)
-        pieces.extend(extracted)
     if remaining.terms:
         tail = str(remaining)
         pieces.append(("+" + tail) if not tail.startswith("-") else tail)
@@ -830,7 +791,7 @@ def _solve_grouping(e: ScalarExpr):
 
     Monomials no candidate can reach are split off as a residual before
     solving; the system itself must then balance exactly or the whole
-    expression falls through to the greedy pass.
+    expression is left to the expanded rendering.
     """
     cands = _candidate_set(e)
     if not cands:
@@ -880,63 +841,6 @@ def _solve_grouping(e: ScalarExpr):
     return pieces, residual
 
 
-def _greedy_grouping(e: ScalarExpr):
-    global _PATTERNS
-    if _PATTERNS is None:
-        _PATTERNS = _pattern_list()
-    remaining = e
-    pieces: list[str] = []
-    progress = True
-    while progress and remaining.terms:
-        progress = False
-        for label, pat in _PATTERNS:
-            hit = _try_extract(remaining, pat)
-            if hit is None:
-                continue
-            coeff, base_mono, new_rem = hit
-            pieces.append(_format_piece(coeff, _power_label(base_mono), label))
-            remaining = new_rem
-            progress = True
-            break
-    return pieces, remaining
-
-
-def _try_extract(e: ScalarExpr, pattern: ScalarExpr):
-    """Find c and an f/h-power prefactor m with c*m*pattern contained in e."""
-    pat_terms = pattern.sorted_terms()
-    if not pat_terms:
-        return None
-    p_mono0, p_c0 = pat_terms[0]
-    pre_base0, p_rest0 = _prefactor_split(p_mono0)
-    for mono, coeff in e.sorted_terms():
-        base, rest = _prefactor_split(mono)
-        if rest != p_rest0:
-            continue
-        shift = _mono_div(base, pre_base0)
-        if shift is None:
-            continue
-        c = coeff / p_c0
-        # check every pattern monomial appears with exactly this coefficient
-        candidate = {}
-        ok = True
-        for p_mono, p_c in pat_terms:
-            pb, pr = _prefactor_split(p_mono)
-            target = _mono_mul(tuple(pb), tuple(shift))
-            target_mono = _mono_mul(target, pr)
-            have = e.terms.get(target_mono)
-            if have is None or have != p_c * c:
-                ok = False
-                break
-            candidate[target_mono] = p_c * c
-        if not ok:
-            continue
-        out = dict(e.terms)
-        for m in candidate:
-            del out[m]
-        return c, tuple(shift), ScalarExpr(out)
-    return None
-
-
 def _mono_div(mono, by):
     acc = {a: e for a, e in mono}
     for atom, exp in by:
@@ -948,7 +852,3 @@ def _mono_div(mono, by):
             return None
     return tuple(sorted(acc.items(), key=lambda ae: _atom_key(ae[0])))
 
-
-def canonicalize(e: ScalarExpr) -> ScalarExpr:
-    """Identity on ScalarExpr (construction already canonicalizes)."""
-    return ScalarExpr(dict(e.terms))

@@ -45,10 +45,6 @@ XiMon = tuple  # ((e1..e6), p)
 XIM_ONE: XiMon = ((0, 0, 0, 0, 0, 0), 0)
 
 
-def xim(exps=(0, 0, 0, 0, 0, 0), p: int = 0) -> XiMon:
-    return (tuple(exps), p)
-
-
 def xim_xi(j: int, k: int = 1) -> XiMon:
     e = [0] * 6
     e[j - 1] = k
@@ -180,10 +176,6 @@ class SymbolExpr:
 
     def cliff_lmul(self, c: CliffordElement) -> "SymbolExpr":
         return SymbolExpr({o: {m: c * el for m, el in t.items()}
-                           for o, t in self.orders.items()})
-
-    def cliff_rmul(self, c: CliffordElement) -> "SymbolExpr":
-        return SymbolExpr({o: {m: el * c for m, el in t.items()}
                            for o, t in self.orders.items()})
 
     def __eq__(self, other):

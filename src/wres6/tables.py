@@ -11,13 +11,16 @@ the test suite re-derives each forced value through independent oracles.
 
 from __future__ import annotations
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, c_of_d
 from .scalars import (
+    G_I,
     ScalarExpr,
     area_s6,
     f_pow,
     fh_pow,
+    grad_dot,
     h_pow,
+    lap,
     omega4,
     pi_atom,
     riem,
@@ -29,10 +32,6 @@ from .symbols import SymbolExpr, xim_norm
 
 # ---------------------------------------------------------------------------
 # small builders
-
-
-def _c_of_d(u: ScalarExpr) -> CliffordElement:
-    return CliffordElement.covector([u.derive_x(j) for j in range(1, 7)])
 
 
 def _xim(pairs, p):
@@ -70,7 +69,7 @@ def _contracted_scalar(prefactor: ScalarExpr, left, right, p: int) -> SymbolExpr
 
 def _xi_cliff(prefactor, weight, p: int) -> SymbolExpr:
     """prefactor * sum_j weight_j xi_j c(d(hf)) c(xi) |xi|^(2p)."""
-    cdhf = _c_of_d(fh_pow(1))
+    cdhf = c_of_d(fh_pow(1))
     cxi = SymbolExpr.xi_covector()
     out = SymbolExpr.zero()
     for j in range(1, 7):
@@ -136,19 +135,19 @@ def printed_expansion_line(idx: int) -> SymbolExpr:
         return _second_deriv_line(fh_pow(-5) * sc(24), _ddfh, -4)
     if idx == 10:
         return _st(xim_norm(-3),
-                   fh_pow(-2) * sc(3) * _lap(fh_pow(-2)))
+                   fh_pow(-2) * sc(3) * lap(fh_pow(-2)))
     if idx == 11:
         return _xi_cliff(fh_pow(-6) * f_pow(1) * sc(14), _dh, -4)
     if idx == 12:
         return _xi_cliff(fh_pow(-6) * sc(-28), _dfh, -4)
     if idx == 13:
-        cdhf = _c_of_d(fh_pow(1))
+        cdhf = c_of_d(fh_pow(1))
         cxi = SymbolExpr.xi_covector()
         piece = cxi.cliff_lmul(cdhf)
         return piece.mul(piece).scale(fh_pow(-6) * sc(-4)).mul(
             _st(xim_norm(-4), ScalarExpr.one()))
     if idx == 14:
-        cdhf = _c_of_d(fh_pow(1))
+        cdhf = c_of_d(fh_pow(1))
         out = SymbolExpr.zero()
         for mu in range(1, 7):
             el = cdhf * CliffordElement.generator(mu)
@@ -157,9 +156,9 @@ def printed_expansion_line(idx: int) -> SymbolExpr:
                     lambda c, mu=mu: c * fh_pow(-6) * sc(6) * _dfh(mu)))
         return out
     if idx == 15:
-        return _st(xim_norm(-3), fh_pow(-5) * f_pow(1) * sc(2) * _lap(h_pow(1)))
+        return _st(xim_norm(-3), fh_pow(-5) * f_pow(1) * sc(2) * lap(h_pow(1)))
     if idx == 16:
-        el = _c_of_d(fh_pow(1)) * _c_of_d(h_pow(1))
+        el = c_of_d(fh_pow(1)) * c_of_d(h_pow(1))
         return SymbolExpr.term(
             xim_norm(-3), el.map_scalars(lambda c: c * fh_pow(-6) * f_pow(1) * sc(-2)))
     if idx == 17:
@@ -187,20 +186,6 @@ def _second_deriv_line(prefactor, dd, p) -> SymbolExpr:
     return out
 
 
-def _lap(u: ScalarExpr) -> ScalarExpr:
-    out = ScalarExpr.zero()
-    for j in range(1, 7):
-        out = out + u.derive_x(j).derive_x(j)
-    return out
-
-
-def _grad_dot(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
-    out = ScalarExpr.zero()
-    for j in range(1, 7):
-        out = out + u.derive_x(j) * v.derive_x(j)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Printed values of the 21 sphere integrals (multiples of tr[id] area(S_6))
 
@@ -211,25 +196,25 @@ def printed_term_value(idx: int) -> ScalarExpr:
     vals = {
         1: fh_pow(-4) * sc(-1, 2) * s_atom(),
         2: fh_pow(-4) * sc(1, 3) * s_atom(),
-        3: fh_pow(-6) * f_pow(2) * sc(-2) * _grad_dot(h, h),
-        4: fh_pow(-6) * f * sc(22, 3) * _grad_dot(h, fh),
-        5: fh_pow(-6) * f * sc(-10) * _grad_dot(h, fh),
-        6: fh_pow(-2) * sc(-2) * _grad_dot(comp_f, h),
-        7: fh_pow(-5) * f * sc(-2) * _lap(h),
-        8: fh_pow(-2) * f * sc(4) * _grad_dot(fh_pow(-3), h),
-        9: fh_pow(-5) * sc(4) * _lap(fh),
-        10: fh_pow(-2) * sc(3) * _lap(fh_pow(-2)),
-        11: fh_pow(-6) * f * sc(-7, 3) * _grad_dot(h, fh),
-        12: fh_pow(-6) * sc(14, 3) * _grad_dot(fh, fh),
-        13: fh_pow(-6) * sc(-2, 3) * _grad_dot(fh, fh),
-        14: fh_pow(-6) * sc(-6) * _grad_dot(fh, fh),
-        15: fh_pow(-5) * f * sc(2) * _lap(h),
-        16: fh_pow(-6) * f * sc(2) * _grad_dot(fh, h),
-        17: fh_pow(-2) * sc(-2, 3) * _lap(fh_pow(-2)),
-        18: fh_pow(-6) * sc(-7) * _grad_dot(fh, fh),
+        3: fh_pow(-6) * f_pow(2) * sc(-2) * grad_dot(h, h),
+        4: fh_pow(-6) * f * sc(22, 3) * grad_dot(h, fh),
+        5: fh_pow(-6) * f * sc(-10) * grad_dot(h, fh),
+        6: fh_pow(-2) * sc(-2) * grad_dot(comp_f, h),
+        7: fh_pow(-5) * f * sc(-2) * lap(h),
+        8: fh_pow(-2) * f * sc(4) * grad_dot(fh_pow(-3), h),
+        9: fh_pow(-5) * sc(4) * lap(fh),
+        10: fh_pow(-2) * sc(3) * lap(fh_pow(-2)),
+        11: fh_pow(-6) * f * sc(-7, 3) * grad_dot(h, fh),
+        12: fh_pow(-6) * sc(14, 3) * grad_dot(fh, fh),
+        13: fh_pow(-6) * sc(-2, 3) * grad_dot(fh, fh),
+        14: fh_pow(-6) * sc(-6) * grad_dot(fh, fh),
+        15: fh_pow(-5) * f * sc(2) * lap(h),
+        16: fh_pow(-6) * f * sc(2) * grad_dot(fh, h),
+        17: fh_pow(-2) * sc(-2, 3) * lap(fh_pow(-2)),
+        18: fh_pow(-6) * sc(-7) * grad_dot(fh, fh),
         19: ScalarExpr.zero(),
-        20: fh_pow(-6) * sc(8) * _grad_dot(fh, fh),
-        21: fh_pow(-2) * sc(-1) * _grad_dot(fh_pow(-3), fh),
+        20: fh_pow(-6) * sc(8) * grad_dot(fh, fh),
+        21: fh_pow(-2) * sc(-1) * grad_dot(fh_pow(-3), fh),
     }
     return vals[idx] * sc(8) * area_s6()
 
@@ -240,15 +225,15 @@ def printed_theorem_density() -> ScalarExpr:
     comp_f = f_pow(-2) * h_pow(-3)
     bracket = (
         fh_pow(-4) * sc(-1, 6) * s_atom()
-        + fh_pow(-6) * f_pow(2) * sc(-2) * _grad_dot(h, h)
-        + fh_pow(-6) * f * sc(-3) * _grad_dot(h, fh)
-        + fh_pow(-2) * sc(-2) * _grad_dot(comp_f, h)
-        + fh_pow(-2) * f * sc(4) * _grad_dot(fh_pow(-3), h)
-        + fh_pow(-5) * sc(4) * _lap(fh)
-        + fh_pow(-2) * sc(3) * _lap(fh_pow(-2))
-        + fh_pow(-6) * sc(-1) * _grad_dot(fh, fh)
-        + fh_pow(-2) * sc(-2, 3) * _lap(fh_pow(-2))
-        + fh_pow(-2) * sc(-1) * _grad_dot(fh_pow(-3), fh)
+        + fh_pow(-6) * f_pow(2) * sc(-2) * grad_dot(h, h)
+        + fh_pow(-6) * f * sc(-3) * grad_dot(h, fh)
+        + fh_pow(-2) * sc(-2) * grad_dot(comp_f, h)
+        + fh_pow(-2) * f * sc(4) * grad_dot(fh_pow(-3), h)
+        + fh_pow(-5) * sc(4) * lap(fh)
+        + fh_pow(-2) * sc(3) * lap(fh_pow(-2))
+        + fh_pow(-6) * sc(-1) * grad_dot(fh, fh)
+        + fh_pow(-2) * sc(-2, 3) * lap(fh_pow(-2))
+        + fh_pow(-2) * sc(-1) * grad_dot(fh_pow(-3), fh)
     )
     return bracket * sc(8) * pi_atom(3)
 
@@ -265,7 +250,7 @@ def printed_qinv_order(k: int) -> SymbolExpr:
     contradicts (see the discrepancy ledger).
     """
     f = f_pow(1)
-    cdhf = _c_of_d(fh_pow(1))
+    cdhf = c_of_d(fh_pow(1))
     cxi = SymbolExpr.xi_covector()
     if k == -2:
         return _st(xim_norm(-1), fh_pow(-2))
@@ -273,10 +258,10 @@ def printed_qinv_order(k: int) -> SymbolExpr:
         out = SymbolExpr.zero()
         for j in range(1, 7):
             coeff = (fh_pow(-3) * f * sc(2) * _dh(j)
-                     - fh_pow(-3) * sc(4) * _dfh(j)) * ScalarExpr.const(GaussRatI())
+                     - fh_pow(-3) * sc(4) * _dfh(j)) * ScalarExpr.const(G_I)
             out = out + _st(_xim([(j, 1)], -2), coeff)
         out = out + cxi.cliff_lmul(cdhf).scale(
-            fh_pow(-3) * ScalarExpr.const(-GaussRatI())).mul(
+            fh_pow(-3) * ScalarExpr.const(-G_I)).mul(
                 _st(xim_norm(-2), ScalarExpr.one()))
         return out
     if k == -4:
@@ -293,7 +278,7 @@ def printed_qinv_order(k: int) -> SymbolExpr:
         out = out + _second_deriv_line(fh_pow(-3) * f * sc(-4), _ddh, -3)
         out = out + _xixi_scalar(sc(8), lambda j: fh_pow(-3).derive_x(j), _dfh, -3)
         out = out + _second_deriv_line(fh_pow(-3) * f * sc(8), _ddfh, -3)  # as printed
-        out = out + _st(xim_norm(-2), _lap(fh_pow(-2)))
+        out = out + _st(xim_norm(-2), lap(fh_pow(-2)))
         out = out + _xi_cliff(fh_pow(-4) * f * sc(4), _dh, -3)
         out = out + _xi_cliff(fh_pow(-4) * sc(-4), _dfh, -3)
         piece = cxi.cliff_lmul(cdhf)
@@ -303,22 +288,17 @@ def printed_qinv_order(k: int) -> SymbolExpr:
             el = cdhf * CliffordElement.generator(mu)
             out = out + SymbolExpr.term(xim_norm(-2), el.map_scalars(
                 lambda c, mu=mu: c * fh_pow(-4) * sc(2) * _dfh(mu)))
-        out = out + _st(xim_norm(-2), fh_pow(-3) * f * _lap(h_pow(1)))
-        el = _c_of_d(fh_pow(1)) * _c_of_d(h_pow(1))
+        out = out + _st(xim_norm(-2), fh_pow(-3) * f * lap(h_pow(1)))
+        el = c_of_d(fh_pow(1)) * c_of_d(h_pow(1))
         out = out + SymbolExpr.term(xim_norm(-2), el.map_scalars(
             lambda c: c * fh_pow(-4) * f * sc(-1)))
         out = out + _xi_cliff(sc(2), lambda j: fh_pow(-3).derive_x(j), -3)
         for mu in range(1, 7):
-            cd = _c_of_d(_dfh(mu))
+            cd = c_of_d(_dfh(mu))
             out = out + cxi.cliff_lmul(cd).scale(fh_pow(-3) * sc(2)).mul(
                 _st(_xim([(mu, 1)], -3), ScalarExpr.one()))
         return out
     raise ValueError(f"no printed inverse symbol at order {k}")
-
-
-def GaussRatI():
-    from .scalars import G_I
-    return G_I
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +333,11 @@ def forced_term_value(idx: int) -> ScalarExpr:
     """Frozen forced values for the ledgered term-table rows."""
     fh = fh_pow(1)
     if idx == 8:
-        return fh_pow(-2) * sc(4) * _grad_dot(fh_pow(-3), fh) * sc(8) * area_s6()
+        return fh_pow(-2) * sc(4) * grad_dot(fh_pow(-3), fh) * sc(8) * area_s6()
     if idx == 13:
-        return fh_pow(-6) * sc(8, 3) * _grad_dot(fh, fh) * sc(8) * area_s6()
+        return fh_pow(-6) * sc(8, 3) * grad_dot(fh, fh) * sc(8) * area_s6()
     if idx == 17:
-        return fh_pow(-2) * sc(1, 3) * _lap(fh_pow(-2)) * sc(8) * area_s6()
+        return fh_pow(-2) * sc(1, 3) * lap(fh_pow(-2)) * sc(8) * area_s6()
     raise ValueError(f"term {idx} has no ledgered forced value")
 
 

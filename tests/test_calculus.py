@@ -6,7 +6,6 @@ from wres6.calculus import (
     build_d_symbols,
     build_fdh_symbols,
     build_q_symbols,
-    commutator_symbol,
     interior_parametrix,
     interior_q,
     invert_symbol,
@@ -59,6 +58,11 @@ def set_f_h_to_one(S: SymbolExpr) -> SymbolExpr:
     return out
 
 
+def commutator(S: SymbolExpr, u: ScalarExpr) -> SymbolExpr:
+    """Symbol of [S, u] for a multiplication operator u, through compose."""
+    return compose(S, SymbolExpr.scalar_term(XIM_ONE, u), 0) - S.scale(u)
+
+
 # ---------------------------------------------------------------------------
 # composition and commutators
 
@@ -77,7 +81,7 @@ def test_compose_truncation_bound_error():
 
 
 def test_commutator_top_order_of_squared_dirac():
-    got = commutator_symbol(build_d2_symbols(), h_pow(1)).order_part(1)
+    got = commutator(build_d2_symbols(), h_pow(1)).order_part(1)
     want = SymbolExpr.zero()
     for j in range(1, 7):
         want = want + SymbolExpr.scalar_term(
@@ -86,13 +90,13 @@ def test_commutator_top_order_of_squared_dirac():
 
 
 def test_commutator_of_dirac_gives_clifford_gradient():
-    got = commutator_symbol(build_d_symbols(), h_pow(1)).order_part(0)
+    got = commutator(build_d_symbols(), h_pow(1)).order_part(0)
     cdh = CliffordElement.covector([dfunc("h", j) for j in range(1, 7)])
     assert got == SymbolExpr.term(XIM_ONE, cdh)
 
 
 def test_commutator_with_constant_vanishes():
-    assert not commutator_symbol(build_d2_symbols(), ScalarExpr.one())
+    assert not commutator(build_d2_symbols(), ScalarExpr.one())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wres6
 from wres6 import report as report_mod
 from wres6.cli import CliError, main, parse_specialization
 
@@ -123,6 +126,17 @@ def test_malformed_ledger_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"location": "x"}))
     code = main(["verify", "interior", "--ledger", str(bad)])
     assert code == 2
+    entry = {"location": "interior/term-08", "printed": "", "forced": "",
+             "note": ""}
+    bad.write_text(json.dumps([dict(entry, location=["interior/term-08"])]))
+    capsys.readouterr()
+    code = main(["verify", "interior", "--ledger", str(bad)])
+    assert code == 2
+    assert "must be strings" in capsys.readouterr().err
+    bad.write_text(json.dumps([entry, dict(entry, note="again")]))
+    code = main(["verify", "interior", "--ledger", str(bad)])
+    assert code == 2
+    assert "duplicate location 'interior/term-08'" in capsys.readouterr().err
 
 
 def test_empty_ledger_turns_diffs_into_failures(tmp_path, capsys):
@@ -167,9 +181,14 @@ def test_dump_term_table_json(capsys):
 
 
 def test_console_entry_point():
+    # the child must import the same wres6 as this process
+    src = str(Path(wres6.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "wres6.cli",
                            "verify", "boundary", "--case", "a1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 

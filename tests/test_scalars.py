@@ -51,16 +51,6 @@ def test_power_composites_expand():
     assert (f_pow(-2) * h_pow(-3)) == fh_pow(-3) * f_pow(1)
 
 
-def test_canonicalize_idempotent_randomized():
-    from wres6.scalars import canonicalize
-
-    for _ in range(200):
-        e = rand_expr()
-        once = canonicalize(e)
-        assert once == e
-        assert canonicalize(once) == once
-
-
 def test_ring_laws_randomized():
     for _ in range(120):
         a, b, c = rand_expr(), rand_expr(), rand_expr()
