@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import report as report_mod
@@ -75,12 +76,12 @@ def parse_specialization(text: str):
         return _subst_fh1
     if spec.startswith("f=u^") and ",h=u^" in spec:
         left, right = spec.split(",", 1)
-        try:
-            p = int(left[len("f=u^"):])
-            q = int(right[len("h=u^"):])
-        except ValueError:
+        exps = (left[len("f=u^"):], right[len("h=u^"):])
+        # int() alone would also take "1_0" and non-ASCII digits
+        if not all(re.fullmatch(r"[+-]?[0-9]+", e) for e in exps):
             raise CliError(
                 f"unsupported specialization {text!r}: exponents must be integers")
+        p, q = map(int, exps)
         fp = _subst_power("f", p)
         hq = _subst_power("h", q)
 

@@ -35,20 +35,24 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
     def __add__(self, other):
         other = as_gauss(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _gauss(self.re + other.re, _F0)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        if not self.im:
+            return _gauss(-self.re, _F0)
+        return _gauss(-self.re, -self.im)
 
     def __sub__(self, other):
         return self + (-as_gauss(other))
@@ -58,10 +62,18 @@ class GaussRat:
 
     def __mul__(self, other):
         other = as_gauss(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # the coefficients this computation builds are real or imaginary, so
+        # most products need one Fraction product instead of four
+        if not b and not d:
+            return _gauss(a * c, _F0)
+        if not a and not c:
+            return _gauss(-(b * d), _F0)
+        if not b and not c:
+            return _gauss(_F0, a * d)
+        if not a and not d:
+            return _gauss(_F0, b * c)
+        return _gauss(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -98,10 +110,13 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real value hashes like the int or Fraction it compares equal to
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def conj(self):
         return GaussRat(self.re, -self.im)
@@ -133,6 +148,19 @@ def as_gauss(x) -> GaussRat:
     if isinstance(x, (int, Fraction)):
         return GaussRat(x)
     raise TypeError(f"cannot coerce {x!r} to GaussRat")
+
+
+_F0 = Fraction(0)
+_new_gauss = object.__new__
+_set_slot = object.__setattr__
+
+
+def _gauss(re: Fraction, im: Fraction) -> GaussRat:
+    """Build a GaussRat from two Fractions without re-checking their type."""
+    g = _new_gauss(GaussRat)
+    _set_slot(g, "re", re)
+    _set_slot(g, "im", im)
+    return g
 
 
 G_ZERO = GaussRat(0)
@@ -285,13 +313,7 @@ class ScalarExpr:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(mono, G_ZERO) + c
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
         return ScalarExpr(out)
 
     __rmul__ = __mul__
@@ -330,6 +352,11 @@ class ScalarExpr:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the number it compares equal to
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and () in self.terms:
+            return hash(self.terms[()])
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -352,22 +379,21 @@ class ScalarExpr:
         """
         if not 1 <= j <= 6:
             raise ValueError("coordinate index out of range")
-        out = ScalarExpr.zero()
+        out: dict = {}
         for mono, coeff in self.terms.items():
             for idx, (atom, exp) in enumerate(mono):
                 datom = _atom_derivative(atom, j, geom)
                 if datom is None:
                     continue
                 rest = _mono_with_exp(mono, idx, exp - 1)
-                piece = ScalarExpr({rest: coeff * exp})
-                out = out + piece * ScalarExpr.atom(datom)
-        return out
+                _accumulate(out, _mono_mul(rest, ((datom, 1),)), coeff * exp)
+        return ScalarExpr(out)
 
     # -- substitution and evaluation ---------------------------------------
 
     def map_func_atoms(self, mapping: Callable[[tuple], "ScalarExpr"]) -> "ScalarExpr":
         """Rewrite every function atom through ``mapping``; other atoms pass."""
-        out = ScalarExpr.zero()
+        out: dict = {}
         for mono, coeff in self.terms.items():
             piece = ScalarExpr.const(coeff)
             for atom, exp in mono:
@@ -376,8 +402,9 @@ class ScalarExpr:
                     piece = piece * rep ** exp
                 else:
                     piece = piece * ScalarExpr.atom(atom, exp)
-            out = out + piece
-        return out
+            for m, c in piece.terms.items():
+                _accumulate(out, m, c)
+        return ScalarExpr(out)
 
     def evaluate(self, assign: Mapping[tuple, GaussRat]) -> GaussRat:
         """Exact evaluation with Gaussian-rational atom values."""
@@ -454,14 +481,32 @@ def _validate_atom(atom, exp):
         raise ValueError("om atom requires s < t")
 
 
+def _accumulate(out: dict, mono, c: GaussRat) -> None:
+    """Add c to out[mono] in place, dropping the entry when it cancels."""
+    acc = out.get(mono)
+    if acc is None:
+        out[mono] = c
+        return
+    acc = acc + c
+    if acc:
+        out[mono] = acc
+    else:
+        del out[mono]
+
+
+def _pair_key(ae):
+    return _atom_key(ae[0])
+
+
 def _mono_mul(m1, m2):
-    acc: dict = {}
-    for atom, exp in m1:
-        acc[atom] = acc.get(atom, 0) + exp
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    acc = dict(m1)
     for atom, exp in m2:
         acc[atom] = acc.get(atom, 0) + exp
-    return tuple(sorted(((a, e) for a, e in acc.items() if e != 0),
-                        key=lambda ae: _atom_key(ae[0])))
+    return tuple(sorted([ae for ae in acc.items() if ae[1]], key=_pair_key))
 
 
 def _mono_with_exp(mono, idx, new_exp):
@@ -605,7 +650,7 @@ def sc(n, d=1) -> ScalarExpr:
 def subst_area() -> Callable[[ScalarExpr], ScalarExpr]:
     """Substitution area(S_6) -> pi^3, applied at report time only."""
     def run(e: ScalarExpr) -> ScalarExpr:
-        out = ScalarExpr.zero()
+        out: dict = {}
         for mono, coeff in e.terms.items():
             piece = ScalarExpr.const(coeff)
             for atom, exp in mono:
@@ -613,8 +658,9 @@ def subst_area() -> Callable[[ScalarExpr], ScalarExpr]:
                     piece = piece * pi_atom(3 * exp)
                 else:
                     piece = piece * ScalarExpr.atom(atom, exp)
-            out = out + piece
-        return out
+            for m, c in piece.terms.items():
+                _accumulate(out, m, c)
+        return ScalarExpr(out)
     return run
 
 

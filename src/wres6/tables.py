@@ -190,33 +190,37 @@ def _second_deriv_line(prefactor, dd, p) -> SymbolExpr:
 # Printed values of the 21 sphere integrals (multiples of tr[id] area(S_6))
 
 
+# Each entry builds one printed value on demand; (fh)^-3 f = f^-2 h^-3.
+_PRINTED_TERM_VALUES = {
+    1: lambda: fh_pow(-4) * sc(-1, 2) * s_atom(),
+    2: lambda: fh_pow(-4) * sc(1, 3) * s_atom(),
+    3: lambda: fh_pow(-6) * f_pow(2) * sc(-2) * grad_dot(h_pow(1), h_pow(1)),
+    4: lambda: fh_pow(-6) * f_pow(1) * sc(22, 3) * grad_dot(h_pow(1), fh_pow(1)),
+    5: lambda: fh_pow(-6) * f_pow(1) * sc(-10) * grad_dot(h_pow(1), fh_pow(1)),
+    6: lambda: fh_pow(-2) * sc(-2) * grad_dot(f_pow(-2) * h_pow(-3), h_pow(1)),
+    7: lambda: fh_pow(-5) * f_pow(1) * sc(-2) * lap(h_pow(1)),
+    8: lambda: fh_pow(-2) * f_pow(1) * sc(4) * grad_dot(fh_pow(-3), h_pow(1)),
+    9: lambda: fh_pow(-5) * sc(4) * lap(fh_pow(1)),
+    10: lambda: fh_pow(-2) * sc(3) * lap(fh_pow(-2)),
+    11: lambda: fh_pow(-6) * f_pow(1) * sc(-7, 3) * grad_dot(h_pow(1), fh_pow(1)),
+    12: lambda: fh_pow(-6) * sc(14, 3) * grad_dot(fh_pow(1), fh_pow(1)),
+    13: lambda: fh_pow(-6) * sc(-2, 3) * grad_dot(fh_pow(1), fh_pow(1)),
+    14: lambda: fh_pow(-6) * sc(-6) * grad_dot(fh_pow(1), fh_pow(1)),
+    15: lambda: fh_pow(-5) * f_pow(1) * sc(2) * lap(h_pow(1)),
+    16: lambda: fh_pow(-6) * f_pow(1) * sc(2) * grad_dot(fh_pow(1), h_pow(1)),
+    17: lambda: fh_pow(-2) * sc(-2, 3) * lap(fh_pow(-2)),
+    18: lambda: fh_pow(-6) * sc(-7) * grad_dot(fh_pow(1), fh_pow(1)),
+    19: ScalarExpr.zero,
+    20: lambda: fh_pow(-6) * sc(8) * grad_dot(fh_pow(1), fh_pow(1)),
+    21: lambda: fh_pow(-2) * sc(-1) * grad_dot(fh_pow(-3), fh_pow(1)),
+}
+
+
 def printed_term_value(idx: int) -> ScalarExpr:
-    f, h, fh = f_pow(1), h_pow(1), fh_pow(1)
-    comp_f = f_pow(-2) * h_pow(-3)  # (fh)^-3 f
-    vals = {
-        1: fh_pow(-4) * sc(-1, 2) * s_atom(),
-        2: fh_pow(-4) * sc(1, 3) * s_atom(),
-        3: fh_pow(-6) * f_pow(2) * sc(-2) * grad_dot(h, h),
-        4: fh_pow(-6) * f * sc(22, 3) * grad_dot(h, fh),
-        5: fh_pow(-6) * f * sc(-10) * grad_dot(h, fh),
-        6: fh_pow(-2) * sc(-2) * grad_dot(comp_f, h),
-        7: fh_pow(-5) * f * sc(-2) * lap(h),
-        8: fh_pow(-2) * f * sc(4) * grad_dot(fh_pow(-3), h),
-        9: fh_pow(-5) * sc(4) * lap(fh),
-        10: fh_pow(-2) * sc(3) * lap(fh_pow(-2)),
-        11: fh_pow(-6) * f * sc(-7, 3) * grad_dot(h, fh),
-        12: fh_pow(-6) * sc(14, 3) * grad_dot(fh, fh),
-        13: fh_pow(-6) * sc(-2, 3) * grad_dot(fh, fh),
-        14: fh_pow(-6) * sc(-6) * grad_dot(fh, fh),
-        15: fh_pow(-5) * f * sc(2) * lap(h),
-        16: fh_pow(-6) * f * sc(2) * grad_dot(fh, h),
-        17: fh_pow(-2) * sc(-2, 3) * lap(fh_pow(-2)),
-        18: fh_pow(-6) * sc(-7) * grad_dot(fh, fh),
-        19: ScalarExpr.zero(),
-        20: fh_pow(-6) * sc(8) * grad_dot(fh, fh),
-        21: fh_pow(-2) * sc(-1) * grad_dot(fh_pow(-3), fh),
-    }
-    return vals[idx] * sc(8) * area_s6()
+    build = _PRINTED_TERM_VALUES.get(idx)
+    if build is None:
+        raise ValueError(f"term index {idx} out of range")
+    return build() * sc(8) * area_s6()
 
 
 def printed_theorem_density() -> ScalarExpr:

@@ -86,8 +86,11 @@ def test_specialize_powers_runs_end_to_end(capsys):
 
 
 def test_specialize_rational_exponent_rejected(capsys):
-    code = main(["verify", "interior", "--specialize", "f=u^-7/2,h=u^1"])
-    assert code == 2
+    # int() alone would accept the digit separator and the Arabic-Indic one
+    for spec in ("f=u^-7/2,h=u^1", "f=u^1_0,h=u^1", "f=u^\u0661,h=u^1"):
+        code = main(["verify", "interior", "--specialize", spec])
+        assert code == 2
+        assert "exponents must be integers" in capsys.readouterr().err
 
 
 def test_specialize_unknown_text_rejected(capsys):

@@ -1,15 +1,24 @@
-"""The full JSON report must stay byte-identical to the committed golden copy.
+"""Reports must stay byte-identical to the committed golden copies.
 
 ``perfbench/golden/verify_all.json`` is the output of
 ``wres6 verify all --format json`` captured before any refactor or speedup;
-a change that alters a single byte of the report fails here.
+``perfbench/golden/digests.json`` holds the sha256 and exit status of every
+argv the benchmark draws, captured at the same commit.  A change that alters
+a single byte of one of these reports fails here.
 """
 
+import hashlib
+import json
+import shlex
 from pathlib import Path
+
+import pytest
 
 from wres6.cli import main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify_all.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "perfbench" / "golden" / "verify_all.json"
+DIGESTS = ROOT / "perfbench" / "golden" / "digests.json"
 
 
 def test_verify_all_json_matches_golden(capsys):
@@ -17,3 +26,18 @@ def test_verify_all_json_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    "verify boundary --case all --format json",
+    "verify all --format json --specialize fh=1",
+    "verify all --format text --specialize f=u^-1,h=u^2 "
+    "--ledger perfbench/data/empty_ledger.json",
+])
+def test_report_matches_golden_digest(argv, capsys, monkeypatch):
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))["outputs"][argv]
+    monkeypatch.chdir(ROOT)  # the ledger path is relative to the repo root
+    code = main(shlex.split(argv))
+    out = capsys.readouterr().out
+    assert code == want["rc"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]

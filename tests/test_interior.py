@@ -98,6 +98,14 @@ def test_integrate_vanishing_line():
     assert integrate_trace(tables.printed_expansion_line(19)).is_zero()
 
 
+@pytest.mark.parametrize("idx", [0, 22])
+def test_printed_tables_reject_out_of_range_index(idx):
+    with pytest.raises(ValueError, match="out of range"):
+        tables.printed_term_value(idx)
+    with pytest.raises(ValueError, match="out of range"):
+        tables.printed_expansion_line(idx)
+
+
 def test_odd_integrand_integrates_to_zero():
     # any integrand odd under xi -> -xi integrates to zero
     for _ in range(50):

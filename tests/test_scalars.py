@@ -82,12 +82,149 @@ def test_derive_leibniz_randomized():
         b = rand_expr(allow_derivs=False)
         j = rng.randint(1, 6)
         assert (a * b).derive_x(j) == a.derive_x(j) * b + a * b.derive_x(j)
+    # first-order atoms and s in one factor; three factors; both geom modes
+    for _ in range(60):
+        a, b, c = rand_expr(3), rand_expr(3, False), rand_expr(3, False)
+        j = rng.randint(1, 6)
+        for geom in ("formal", "drop"):
+            want = (a.derive_x(j, geom) * b * c + a * b.derive_x(j, geom) * c
+                    + a * b * c.derive_x(j, geom))
+            assert (a * b * c).derive_x(j, geom) == want
 
 
 def test_derivative_cap_rejected():
     e = dfunc("h", 1, 2)
     with pytest.raises(DerivativeOrderError):
         e.derive_x(3)
+    # the cap fires on the second-order atom wherever it sits in a sum
+    e = f_pow(-2) * h_pow(1) + s_atom() * dfunc("f", 2, 5) * sc(3, 2)
+    for geom in ("formal", "drop"):
+        with pytest.raises(DerivativeOrderError):
+            e.derive_x(1, geom)
+    with pytest.raises(DerivativeOrderError):
+        ScalarExpr.atom(("R", 1, 1, ())).derive_x(2)
+
+
+def test_derive_linearity_randomized():
+    local = random.Random(11)
+    for _ in range(60):
+        a, b = rand_expr(), rand_expr()
+        k = ScalarExpr.const(rand_coeff())
+        j = local.randint(1, 6)
+        for geom in ("formal", "drop"):
+            got = (a * k + b).derive_x(j, geom)
+            assert got == a.derive_x(j, geom) * k + b.derive_x(j, geom)
+
+
+# -- GaussRat against a reference on plain (Fraction, Fraction) pairs ------
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, x)
+    return _ref_div((Fraction(1), Fraction(0)), out) if k < 0 else out
+
+
+def _pair(v):
+    if isinstance(v, GaussRat):
+        return (v.re, v.im)
+    return (Fraction(v), Fraction(0))
+
+
+def _rand_operand(local):
+    def q():
+        return Fraction(local.randint(-7, 7), local.randint(1, 5))
+
+    kind = local.choice(["real", "complex", "imag", "zero", "int", "fraction"])
+    if kind == "real":
+        return GaussRat(q())
+    if kind == "complex":
+        return GaussRat(q(), q() or Fraction(1, 3))
+    if kind == "imag":
+        return GaussRat(0, q() or 2)
+    if kind == "zero":
+        return GaussRat(0)
+    if kind == "int":
+        return local.randint(-5, 5)
+    return q()
+
+
+def _assert_gauss(got, want):
+    assert type(got) is GaussRat
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == want
+
+
+def test_gaussrat_ops_match_fraction_pair_reference():
+    local = random.Random(13)
+    for _ in range(600):
+        x = _rand_operand(local)
+        y = _rand_operand(local)
+        if not isinstance(x, GaussRat) and not isinstance(y, GaussRat):
+            x = GaussRat(x)
+        px, py = _pair(x), _pair(y)
+        _assert_gauss(x + y, (px[0] + py[0], px[1] + py[1]))
+        _assert_gauss(x - y, (px[0] - py[0], px[1] - py[1]))
+        _assert_gauss(x * y, _ref_mul(px, py))
+        if any(py):
+            _assert_gauss(x / y, _ref_div(px, py))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for g, pg in ((x, px), (y, py)):
+            if not isinstance(g, GaussRat):
+                continue
+            _assert_gauss(-g, (-pg[0], -pg[1]))
+            k = local.randint(-3, 4)
+            if k < 0 and not any(pg):
+                with pytest.raises(ZeroDivisionError):
+                    g ** k
+            else:
+                _assert_gauss(g ** k, _ref_pow(pg, k))
+
+
+def test_gaussrat_constructor_keeps_fraction_type():
+    for re, im in ((3, 0), (Fraction(1, 2), -4), (0, Fraction(-5, 3)), (True, 0)):
+        g = GaussRat(re, im)
+        assert type(g.re) is Fraction and type(g.im) is Fraction
+        assert (g.re, g.im) == (Fraction(re), Fraction(im))
+    assert repr(GaussRat(2) * GaussRat(3)) == "GaussRat(Fraction(6, 1), Fraction(0, 1))"
+    assert str(GaussRat(Fraction(1, 2)) + GaussRat(0, 1)) == "(1/2+i)"
+
+
+def test_gaussrat_hash_agrees_with_equality():
+    for n in (3, 0, -7, Fraction(5, 4)):
+        assert GaussRat(n) == n
+        assert hash(GaussRat(n)) == hash(n)
+        assert {GaussRat(n): 1}.get(n) == 1
+        assert {n: 1}.get(GaussRat(n)) == 1
+    z = GaussRat(Fraction(1, 2), -3)
+    assert hash(z) == hash(GaussRat(Fraction(2, 4), Fraction(-6, 2)))
+    assert hash(GaussRat(2) * GaussRat(0, 1) * GaussRat(0, 1)) == hash(-2)
+
+
+def test_scalarexpr_hash_agrees_with_equality():
+    for n in (3, 0, Fraction(-1, 6)):
+        c = ScalarExpr.const(n)
+        assert c == n
+        assert hash(c) == hash(n)
+        assert {c: 1}.get(n) == 1
+        assert {n: 1}.get(c) == 1
+    i = ScalarExpr.const(GaussRat(0, 1))
+    assert i == GaussRat(0, 1) and hash(i) == hash(GaussRat(0, 1))
+    assert hash(ScalarExpr.zero()) == hash(0)
+    e = f_pow(2) * h_pow(-1) + sc(3)
+    assert hash(e) == hash(sc(3) + h_pow(-1) * f_pow(2))
 
 
 def _poly_jets(rng):
