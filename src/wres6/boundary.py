@@ -32,6 +32,7 @@ from .scalars import (
     G_ZERO,
     GaussRat,
     ScalarExpr,
+    _accumulate,
     _as_scalar,
     omega4,
     pi_atom,
@@ -89,7 +90,7 @@ def _poly_eval(p, z: GaussRat) -> ScalarExpr:
     out = ScalarExpr.zero()
     zk = G_ONE
     for c in p:
-        out = out + c * ScalarExpr.const(zk)
+        out = out + c * zk
         zk = zk * z
     return out
 
@@ -101,14 +102,10 @@ def _poly_divide_linear(p, r: GaussRat):
     q = [ScalarExpr.zero()] * (len(p) - 1)
     carry = ScalarExpr.zero()
     for k in range(len(p) - 1, 0, -1):
-        carry = p[k] + _sc_mul(carry, r)
+        carry = p[k] + carry * r
         q[k - 1] = carry
-    rem = p[0] + _sc_mul(carry, r)
+    rem = p[0] + carry * r
     return _poly_trim(q), rem
-
-
-def _sc_mul(e: ScalarExpr, z: GaussRat) -> ScalarExpr:
-    return e * ScalarExpr.const(z)
 
 
 def _binom(n: int, k: int) -> int:
@@ -227,7 +224,7 @@ class XiRat:
     def derive(self) -> "XiRat":
         """d/dxi_n by the quotient rule, normalized."""
         n = list(self.num)
-        dnum = _poly_trim([_sc_mul(n[k], GaussRat(k)) for k in range(1, len(n))])
+        dnum = _poly_trim([n[k] * GaussRat(k) for k in range(1, len(n))])
         # d/dx [N / ((x-i)^a (x+i)^b)]
         #   = [N' (x-i)(x+i) - N (a(x+i) + b(x-i))] / ((x-i)^(a+1) (x+i)^(b+1))
         lin_m = _linear_power(_PLUS_I, 1)
@@ -247,7 +244,7 @@ class XiRat:
         for k, c in enumerate(self.num):
             for j in range(k + 1):
                 coeff = GaussRat(_binom(k, j)) * _PLUS_I ** (k - j)
-                shifted[j] = shifted[j] + _sc_mul(c, coeff)
+                shifted[j] = shifted[j] + c * coeff
         # (t + 2i)^(-b) expanded at t = 0
         out = []
         for m in range(count):
@@ -259,7 +256,7 @@ class XiRat:
                 coeff = (GaussRat((-1) ** k * _binom(self.b + k - 1, k))
                          * (GaussRat(2) * _PLUS_I) ** (-self.b - k)) if self.b else \
                     (G_ONE if k == 0 else G_ZERO)
-                acc = acc + _sc_mul(shifted[j], coeff)
+                acc = acc + shifted[j] * coeff
             out.append(acc)
         return out
 
@@ -373,23 +370,13 @@ class BoundaryExpr:
                 else:
                     base = XiRat.xin(n_pow) * XiRat.inv_norm(-p)
                 for w, coeff in el.terms.items():
-                    key = (xp, w)
-                    add = base.scale(coeff)
-                    acc = out.get(key, XiRat.zero()) + add
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                    _accumulate(out, (xp, w), base.scale(coeff))
         return BoundaryExpr(out)
 
     def __add__(self, other):
         out = dict(self.terms)
         for key, rat in other.terms.items():
-            acc = out.get(key, XiRat.zero()) + rat
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            _accumulate(out, key, rat)
         return BoundaryExpr(out)
 
     def __neg__(self):
@@ -406,14 +393,7 @@ class BoundaryExpr:
                 sign, w = _merge_words(w1, w2)
                 xp = tuple(a + b for a, b in zip(xp1, xp2))
                 rat = r1 * r2
-                if sign < 0:
-                    rat = -rat
-                key = (xp, w)
-                acc = out.get(key, XiRat.zero()) + rat
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                _accumulate(out, (xp, w), -rat if sign < 0 else rat)
         return BoundaryExpr(out)
 
     def derive_xin(self) -> "BoundaryExpr":
@@ -424,15 +404,8 @@ class BoundaryExpr:
 
     def trace(self) -> "BoundaryExpr":
         """Spinor trace: keeps the empty word, multiplied by tr[id] = 8."""
-        out: dict = {}
-        for (xp, w), r in self.terms.items():
-            if w:
-                continue
-            key = (xp, ())
-            acc = out.get(key, XiRat.zero()) + r.scale(sc(TRACE_ID))
-            if acc:
-                out[key] = acc
-        return BoundaryExpr(out)
+        return BoundaryExpr({key: r.scale(sc(TRACE_ID))
+                             for key, r in self.terms.items() if not key[1]})
 
     def integrate_tangential(self) -> XiRat:
         """Integrate over |xi'| = 1 (S^4 moments); result times Omega_4."""

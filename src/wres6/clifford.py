@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .scalars import GaussRat, ScalarExpr, _as_scalar
+from .scalars import GaussRat, ScalarExpr, _accumulate, _as_scalar
 
 TRACE_ID = 8  # 2^(n/2) with n = 6, fixed for this artifact
 
@@ -87,11 +87,7 @@ class CliffordElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w, ScalarExpr.zero()) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+            _accumulate(out, w, c)
         return CliffordElement(out)
 
     def __neg__(self):
@@ -112,13 +108,7 @@ class CliffordElement:
             for w2, c2 in other.terms.items():
                 sign, w = _merge_words(w1, w2)
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = out.get(w, ScalarExpr.zero()) + c
-                if acc:
-                    out[w] = acc
-                else:
-                    out.pop(w, None)
+                _accumulate(out, w, -c if sign < 0 else c)
         return CliffordElement(out)
 
     def __eq__(self, other):

@@ -204,7 +204,7 @@ def theorem_check_interior(specialize=None, ledger=None) -> InteriorComparison:
 
     if ledger is None:
         ledger = tables.discrepancy_ledger()
-    computed = subst_area()(interior_density())
+    computed = subst_area(interior_density())
     paper = tables.printed_theorem_density()
     if specialize is not None:
         computed = computed.map_func_atoms(specialize)

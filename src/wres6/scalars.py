@@ -118,9 +118,6 @@ class GaussRat:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def conj(self):
-        return GaussRat(self.re, -self.im)
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -288,11 +285,7 @@ class ScalarExpr:
             return self
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = out.get(mono, G_ZERO) + c
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            _accumulate(out, mono, c)
         return ScalarExpr(out)
 
     __radd__ = __add__
@@ -393,18 +386,8 @@ class ScalarExpr:
 
     def map_func_atoms(self, mapping: Callable[[tuple], "ScalarExpr"]) -> "ScalarExpr":
         """Rewrite every function atom through ``mapping``; other atoms pass."""
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            piece = ScalarExpr.const(coeff)
-            for atom, exp in mono:
-                if atom[0] in FUNC_BASES:
-                    rep = mapping(atom)
-                    piece = piece * rep ** exp
-                else:
-                    piece = piece * ScalarExpr.atom(atom, exp)
-            for m, c in piece.terms.items():
-                _accumulate(out, m, c)
-        return ScalarExpr(out)
+        return _rewrite_atoms(
+            self, lambda atom: mapping(atom) if atom[0] in FUNC_BASES else None)
 
     def evaluate(self, assign: Mapping[tuple, GaussRat]) -> GaussRat:
         """Exact evaluation with Gaussian-rational atom values."""
@@ -481,17 +464,39 @@ def _validate_atom(atom, exp):
         raise ValueError("om atom requires s < t")
 
 
-def _accumulate(out: dict, mono, c: GaussRat) -> None:
-    """Add c to out[mono] in place, dropping the entry when it cancels."""
-    acc = out.get(mono)
+def _accumulate(out: dict, key, value) -> None:
+    """Add value to out[key] in place, dropping the entry when it cancels.
+
+    The one sparse-sum step of every container: values are GaussRat,
+    ScalarExpr, CliffordElement or XiRat, anything with ``+`` whose zero is
+    falsy.
+    """
+    acc = out.get(key)
     if acc is None:
-        out[mono] = c
+        out[key] = value
         return
-    acc = acc + c
+    acc = acc + value
     if acc:
-        out[mono] = acc
+        out[key] = acc
     else:
-        del out[mono]
+        del out[key]
+
+
+def _rewrite_atoms(e: ScalarExpr,
+                   rewrite: Callable[[tuple], ScalarExpr | None]) -> ScalarExpr:
+    """Replace each atom for which ``rewrite(atom)`` is not None, then expand."""
+    out: dict = {}
+    for mono, coeff in e.terms.items():
+        piece = ScalarExpr.const(coeff)
+        for atom, exp in mono:
+            rep = rewrite(atom)
+            if rep is None:
+                piece = piece * ScalarExpr.atom(atom, exp)
+            else:
+                piece = piece * rep ** exp
+        for m, c in piece.terms.items():
+            _accumulate(out, m, c)
+    return ScalarExpr(out)
 
 
 def _pair_key(ae):
@@ -647,21 +652,9 @@ def sc(n, d=1) -> ScalarExpr:
     return ScalarExpr.const(Fraction(n, d))
 
 
-def subst_area() -> Callable[[ScalarExpr], ScalarExpr]:
+def subst_area(e: ScalarExpr) -> ScalarExpr:
     """Substitution area(S_6) -> pi^3, applied at report time only."""
-    def run(e: ScalarExpr) -> ScalarExpr:
-        out: dict = {}
-        for mono, coeff in e.terms.items():
-            piece = ScalarExpr.const(coeff)
-            for atom, exp in mono:
-                if atom == ("S6",):
-                    piece = piece * pi_atom(3 * exp)
-                else:
-                    piece = piece * ScalarExpr.atom(atom, exp)
-            for m, c in piece.terms.items():
-                _accumulate(out, m, c)
-        return ScalarExpr(out)
-    return run
+    return _rewrite_atoms(e, lambda atom: pi_atom(3) if atom == ("S6",) else None)
 
 
 def grad_dot(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:

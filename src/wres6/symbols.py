@@ -32,6 +32,7 @@ from .clifford import CliffordElement
 from .scalars import (
     G_I,
     ScalarExpr,
+    _accumulate,
     _as_scalar,
     sc,
     wp,
@@ -153,11 +154,7 @@ class SymbolExpr:
         for o, terms in other.orders.items():
             row = out.setdefault(o, {})
             for mono, el in terms.items():
-                acc = row.get(mono, CliffordElement.zero()) + el
-                if acc:
-                    row[mono] = acc
-                else:
-                    row.pop(mono, None)
+                _accumulate(row, mono, el)
         return SymbolExpr(out)
 
     def __neg__(self):
@@ -213,15 +210,7 @@ class SymbolExpr:
                 row = out.setdefault(o1 + o2, {})
                 for m1, e1 in t1.items():
                     for m2, e2 in t2.items():
-                        mono = xim_mul(m1, m2)
-                        prod = e1 * e2
-                        if not prod:
-                            continue
-                        acc = row.get(mono, CliffordElement.zero()) + prod
-                        if acc:
-                            row[mono] = acc
-                        else:
-                            row.pop(mono, None)
+                        _accumulate(row, xim_mul(m1, m2), e1 * e2)
         return SymbolExpr(out)
 
     # -- xi-derivative ---------------------------------------------------------
@@ -230,19 +219,20 @@ class SymbolExpr:
         """d/dxi_mu; every term drops by one homogeneity order."""
         if not 1 <= mu <= 6:
             raise ValueError("xi index out of range")
-        out = SymbolExpr.zero()
+        out: dict = {}
         for o, terms in self.orders.items():
+            row = out.setdefault(o - 1, {})
             for (exps, p), el in terms.items():
                 e_mu = exps[mu - 1]
                 if e_mu:
                     new = list(exps)
                     new[mu - 1] -= 1
-                    out = out + SymbolExpr.term((tuple(new), p), el.scale(sc(e_mu)))
+                    _accumulate(row, (tuple(new), p), el.scale(sc(e_mu)))
                 if p:
                     new = list(exps)
                     new[mu - 1] += 1
-                    out = out + SymbolExpr.term((tuple(new), p - 1), el.scale(sc(2 * p)))
-        return out
+                    _accumulate(row, (tuple(new), p - 1), el.scale(sc(2 * p)))
+        return SymbolExpr(out)
 
     # -- x-derivative under a point context -----------------------------------
 
@@ -254,13 +244,14 @@ class SymbolExpr:
         for j = n and nothing otherwise; Clifford words are covariantly
         constant at the point in interior mode.
         """
-        out = SymbolExpr.zero()
+        out: dict = {}
         boundary_n = ctx.is_boundary and j == N_COORD
         for o, terms in self.orders.items():
+            row = out.setdefault(o, {})
             for (exps, p), el in terms.items():
                 dcoeff = el.map_scalars(lambda c: c.derive_x(j, geom="drop"))
                 if dcoeff:
-                    out = out + SymbolExpr.term((exps, p), dcoeff)
+                    _accumulate(row, (exps, p), dcoeff)
                 if boundary_n:
                     if any(w for w in el.terms):
                         # d/dx_n of Clifford content at the boundary point is
@@ -271,11 +262,11 @@ class SymbolExpr:
                         # d/dx_n |xi|^(2p) = p w'(0) |xi'|^2 |xi|^(2p-2),
                         # with |xi'|^2 = |xi|^2 - xi_n^2
                         base = el.scale(wp() * sc(p))
-                        out = out + SymbolExpr.term((exps, p), base)
+                        _accumulate(row, (exps, p), base)
                         xn2 = list(exps)
                         xn2[N_COORD - 1] += 2
-                        out = out + SymbolExpr.term((tuple(xn2), p - 1), -base)
-        return out
+                        _accumulate(row, (tuple(xn2), p - 1), -base)
+        return SymbolExpr(out)
 
     # -- restrictions ----------------------------------------------------------
 
@@ -285,12 +276,7 @@ class SymbolExpr:
         for o, terms in self.orders.items():
             for (exps, p), el in terms.items():
                 for w, c in el.terms.items():
-                    key = (exps, w)
-                    acc = out.get(key, ScalarExpr.zero()) + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                    _accumulate(out, (exps, w), c)
         return out
 
     # -- display ----------------------------------------------------------------
@@ -348,17 +334,17 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
     Monomials with more than one connection atom only arise where the result
     vanishes anyway, so a left fold in canonical atom order is well defined.
     """
-    out = SymbolExpr.zero()
+    out: dict = {}
     for o, terms in S.orders.items():
+        row = out.setdefault(o, {})
         for mono, el in terms.items():
             for w, coeff in el.terms.items():
-                repl = _eval_coeff(coeff, ctx)
-                for new_coeff, cliff_factor in repl:
+                for new_coeff, cliff_factor in _eval_coeff(coeff, ctx):
                     piece = CliffordElement({w: new_coeff})
                     if cliff_factor is not None:
                         piece = cliff_factor * piece
-                    out = out + SymbolExpr.term(mono, piece)
-    return out
+                    _accumulate(row, mono, piece)
+    return SymbolExpr(out)
 
 
 def _eval_coeff(coeff: ScalarExpr, ctx: PointContext):

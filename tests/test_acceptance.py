@@ -160,7 +160,7 @@ def test_criterion_5_kkw_specialization():
     from wres6.scalars import subst_area
 
     one = lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()
-    dens = subst_area()(interior_density()).map_func_atoms(one)
+    dens = subst_area(interior_density()).map_func_atoms(one)
     assert dens == sc(-4, 3) * s_atom() * pi_atom(3)
     _ok(5, "f = h = 1 interior density is exactly -(4/3) pi^3 s")
 

@@ -49,6 +49,15 @@ def numeric(rat, z, assign=None):
 # XiRat arithmetic
 
 
+def test_trace_keeps_empty_words_times_8():
+    xp, xq = (0, 0, 0, 0, 0), (2, 0, 0, 0, 0)
+    r1, r2, r3 = XiRat.inv_norm(2), XiRat.xin(1), XiRat.const(wp())
+    e = BoundaryExpr({(xp, ()): r1, (xp, (1, 6)): r2,
+                      (xq, ()): r3, (xq, (2,)): r1})
+    assert e.trace().terms == {(xp, ()): r1.scale(sc(8)),
+                               (xq, ()): r3.scale(sc(8))}
+
+
 def test_normalization_cancels_common_factors():
     # (xin - i)(xin + i) / (1 + xin^2) == 1
     num = (ScalarExpr.one(), ScalarExpr.zero(), ScalarExpr.one())

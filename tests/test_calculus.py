@@ -13,7 +13,6 @@ from wres6.calculus import (
 )
 from wres6.clifford import CliffordElement
 from wres6.scalars import (
-    DerivativeOrderError,
     G_I,
     ScalarExpr,
     dfunc,
@@ -32,8 +31,6 @@ from wres6.symbols import (
     xim_norm,
     xim_xi,
 )
-
-ONE_SYMBOL = SymbolExpr.scalar_term(XIM_ONE, ScalarExpr.one())
 
 
 def strip_geom(S: SymbolExpr) -> SymbolExpr:
@@ -164,22 +161,6 @@ def test_fdh_square_matches_q_on_function_content():
 def test_leading_inverse():
     par = interior_parametrix()
     assert par.b2 == SymbolExpr.scalar_term(xim_norm(-1), fh_pow(-2))
-
-
-def test_parametrix_identity_master_check():
-    q = interior_q()
-    par = interior_parametrix()
-    ident = compose(q, par.recursion_symbol(), -2, INTERIOR)
-    assert ident == ONE_SYMBOL
-
-
-def test_parametrix_below_recursion_depth_is_rejected():
-    # the depth-3 inverse cannot support composition below order -2: the
-    # missing orders would need third derivatives, which the ring rejects
-    q = interior_q()
-    par = interior_parametrix()
-    with pytest.raises(DerivativeOrderError):
-        compose(q, par.recursion_symbol(), -4, INTERIOR)
 
 
 def test_non_invertible_leading_symbol_rejected():

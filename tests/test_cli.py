@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -37,10 +38,30 @@ def test_verify_all_passes(capsys):
     assert rep["interior"] and rep["boundary"]
 
 
+def _child_env(**extra):
+    # the child must import the same wres6 as this process
+    src = str(Path(wres6.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_reports_are_byte_identical(capsys):
     _, out1 = run_cli(["verify", "all", "--format", "json"], capsys)
     _, out2 = run_cli(["verify", "all", "--format", "json"], capsys)
     assert out1.encode() == out2.encode()
+    # the bytes must not depend on the hash seed either, which sets the
+    # iteration order of every set of atoms, words and monomials
+    argv = "verify boundary --case all --format json"
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+    digests = json.loads((golden / "digests.json").read_text(encoding="utf-8"))
+    want = digests["outputs"][argv]["sha256"]
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "wres6.cli", *argv.split()],
+                              capture_output=True, env=_child_env(PYTHONHASHSEED=seed))
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == want
 
 
 def test_report_round_trip(capsys):
@@ -184,14 +205,9 @@ def test_dump_term_table_json(capsys):
 
 
 def test_console_entry_point():
-    # the child must import the same wres6 as this process
-    src = str(Path(wres6.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "wres6.cli",
                            "verify", "boundary", "--case", "a1"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from wres6.clifford import (
     CliffordElement,
     element_to_matrix,
@@ -21,6 +23,13 @@ def c(i):
 
 def test_square_is_minus_one():
     assert c(1) * c(1) == CliffordElement.identity(sc(-1))
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_square_plus_identity_cancels(i):
+    z = c(i) * c(i) + CliffordElement.identity()
+    assert not z
+    assert z.terms == {}
 
 
 def test_anticommutation():

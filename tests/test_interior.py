@@ -169,7 +169,7 @@ def test_partition_property():
 
 def test_flat_density_is_kkw_value():
     one = lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()
-    dens = subst_area()(interior_density()).map_func_atoms(one)
+    dens = subst_area(interior_density()).map_func_atoms(one)
     assert dens == sc(-4, 3) * s_atom() * pi_atom(3)
 
 

@@ -7,13 +7,19 @@ from wres6.scalars import (
     DerivativeOrderError,
     GaussRat,
     ScalarExpr,
+    area_s6,
     dfunc,
     f_pow,
     fh_pow,
     group_for_display,
     h_pow,
+    pi_atom,
+    riem,
     s_atom,
     sc,
+    subst_area,
+    u_pow,
+    wp,
 )
 
 rng = random.Random(20240811)
@@ -57,6 +63,26 @@ def test_ring_laws_randomized():
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+
+def _f_h_to_u(e):
+    # a geometric atom reaching the mapping raises KeyError
+    return e.map_func_atoms(lambda atom: {"f": u_pow(2), "h": u_pow(-1)}[atom[0]])
+
+
+DS3 = ScalarExpr.atom(("s", (3,)))
+
+
+@pytest.mark.parametrize("rewrite, expr, want", [
+    (subst_area, area_s6() ** 2 * sc(3), pi_atom(6) * sc(3)),
+    (subst_area, area_s6() * s_atom() + riem(1, 2) * wp() * f_pow(-1),
+     pi_atom(3) * s_atom() + riem(1, 2) * wp() * f_pow(-1)),
+    (_f_h_to_u, f_pow(2) * s_atom() + h_pow(-1) * riem(1, 2) * wp(),
+     u_pow(4) * s_atom() + u_pow(1) * riem(1, 2) * wp()),
+    (_f_h_to_u, DS3 * pi_atom(2) * sc(5) + wp(), DS3 * pi_atom(2) * sc(5) + wp()),
+], ids=["area-squared", "area-others-kept", "func-atoms", "geometric-only"])
+def test_atom_rewrites_touch_only_their_atoms(rewrite, expr, want):
+    assert rewrite(expr) == want
 
 
 def test_derive_chain_rule_simple():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wres6.boundary import BoundaryExpr, XiRat
 from wres6.clifford import CliffordElement
 from wres6.scalars import ScalarExpr, fh_pow, sc, wp
@@ -151,6 +153,37 @@ def test_homogeneity_bookkeeping():
         prod = S.mul(T)
         for order in prod.orders:
             assert any(a + b == order for a in S.orders for b in T.orders)
+
+
+def _clifford_pair():
+    x = CliffordElement({(): fh_pow(1), (1, 2): wp()})
+    y = CliffordElement({(): fh_pow(1) * sc(-1), (3,): sc(2)})
+    return x, y
+
+
+def _symbol_pair():
+    x = SymbolExpr.xi_covector().scale(fh_pow(-1)) + SymbolExpr.norm_sq(1, wp())
+    y = SymbolExpr.norm_sq(1, -1) + SymbolExpr.scalar_term(XIM_ONE, sc(3))
+    return x, y
+
+
+def _boundary_pair():
+    x, y = _symbol_pair()
+    return BoundaryExpr.from_symbol(x), BoundaryExpr.from_symbol(y)
+
+
+@pytest.mark.parametrize("pair, field", [
+    (_clifford_pair, "terms"),
+    (_symbol_pair, "orders"),
+    (_boundary_pair, "terms"),
+], ids=["clifford", "symbol", "boundary"])
+def test_cancelled_sums_leave_no_entries(pair, field):
+    # x and y share keys, so each sum below cancels some entries and must
+    # drop them (for symbols: the whole order row) instead of keeping zeros
+    x, y = pair()
+    for z in (x + (-x), (x + y) - y - x):
+        assert getattr(z, field) == {}
+    assert getattr((x + y) - y, field) == getattr(x, field)
 
 
 def test_restrict_sphere_norm_powers():
