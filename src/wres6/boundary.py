@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .calculus import build_q_symbols, invert_symbol
 from .clifford import TRACE_ID
@@ -108,18 +108,11 @@ def _poly_divide_linear(p, r: GaussRat):
     return _poly_trim(q), rem
 
 
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
-
-
 def _linear_power(r: GaussRat, k: int):
     """(x - r)^k as an ascending coefficient tuple over ScalarExpr."""
     cs = []
     for j in range(k + 1):
-        coeff = GaussRat(_binom(k, j)) * (-r) ** (k - j)
+        coeff = GaussRat(comb(k, j)) * (-r) ** (k - j)
         cs.append(ScalarExpr.const(coeff))
     return _poly_trim(cs)
 
@@ -243,7 +236,7 @@ class XiRat:
         shifted = [ScalarExpr.zero()] * len(self.num)
         for k, c in enumerate(self.num):
             for j in range(k + 1):
-                coeff = GaussRat(_binom(k, j)) * _PLUS_I ** (k - j)
+                coeff = GaussRat(comb(k, j)) * _PLUS_I ** (k - j)
                 shifted[j] = shifted[j] + c * coeff
         # (t + 2i)^(-b) expanded at t = 0
         out = []
@@ -253,7 +246,7 @@ class XiRat:
                 if j >= len(shifted):
                     break
                 k = m - j
-                coeff = (GaussRat((-1) ** k * _binom(self.b + k - 1, k))
+                coeff = (GaussRat((-1) ** k * comb(self.b + k - 1, k))
                          * (GaussRat(2) * _PLUS_I) ** (-self.b - k)) if self.b else \
                     (G_ONE if k == 0 else G_ZERO)
                 acc = acc + shifted[j] * coeff
@@ -384,6 +377,14 @@ class BoundaryExpr:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundaryExpr):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def mul(self, other: "BoundaryExpr") -> "BoundaryExpr":
         from .clifford import _merge_words

@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import report as report_mod
-from .scalars import ScalarExpr, dfunc, f_pow, sc, u_pow
+from .scalars import ScalarExpr, f_pow, u_pow
 
 USAGE_ERROR = 2
 
@@ -35,35 +35,17 @@ class CliError(Exception):
 # Specializations
 
 
-def _const_one(atom):
-    return ScalarExpr.one() if not atom[1] else ScalarExpr.zero()
-
-
-def _subst_fh1(atom):
-    base, beta = atom[0], atom[1]
-    if base != "h":
-        return ScalarExpr.atom(atom)
-    if not beta:
-        return f_pow(-1)
-    if len(beta) == 1:
-        return f_pow(-2) * sc(-1) * dfunc("f", *beta)
-    j, l = beta
-    return (f_pow(-3) * sc(2) * dfunc("f", j) * dfunc("f", l)
-            - f_pow(-2) * dfunc("f", j, l))
-
-
-def _subst_power(base: str, p: int):
+def _substitution(images: dict):
+    """Atom map sending (base, beta) to images[base] differentiated along
+    beta; function atoms of other bases stay as they are."""
     def run(atom):
-        if atom[0] != base:
+        base, beta = atom
+        if base not in images:
             return ScalarExpr.atom(atom)
-        beta = atom[1]
-        if not beta:
-            return u_pow(p)
-        if len(beta) == 1:
-            return sc(p) * u_pow(p - 1) * dfunc("u", *beta)
-        j, l = beta
-        return (sc(p * (p - 1)) * u_pow(p - 2) * dfunc("u", j) * dfunc("u", l)
-                + sc(p) * u_pow(p - 1) * dfunc("u", j, l))
+        image = images[base]
+        for j in beta:
+            image = image.derive_x(j)
+        return image
     return run
 
 
@@ -71,9 +53,9 @@ def parse_specialization(text: str):
     """Parse a --specialize value into an atom-mapping function."""
     spec = text.replace(" ", "")
     if spec == "f=1,h=1":
-        return _const_one
+        return _substitution({"f": ScalarExpr.one(), "h": ScalarExpr.one()})
     if spec == "fh=1":
-        return _subst_fh1
+        return _substitution({"h": f_pow(-1)})
     if spec.startswith("f=u^") and ",h=u^" in spec:
         left, right = spec.split(",", 1)
         exps = (left[len("f=u^"):], right[len("h=u^"):])
@@ -82,16 +64,7 @@ def parse_specialization(text: str):
             raise CliError(
                 f"unsupported specialization {text!r}: exponents must be integers")
         p, q = map(int, exps)
-        fp = _subst_power("f", p)
-        hq = _subst_power("h", q)
-
-        def run(atom):
-            if atom[0] == "f":
-                return fp(atom)
-            if atom[0] == "h":
-                return hq(atom)
-            return ScalarExpr.atom(atom)
-        return run
+        return _substitution({"f": u_pow(p), "h": u_pow(q)})
     raise CliError(f"unsupported specialization {text!r}")
 
 

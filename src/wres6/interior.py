@@ -20,7 +20,8 @@ from functools import lru_cache
 from math import factorial
 
 from .calculus import qinv_square_sigma6
-from .scalars import ScalarExpr, area_s6, s_atom, sc, subst_area
+from .clifford import TRACE_ID
+from .scalars import ScalarExpr, area_s6, s_atom, subst_area
 from .symbols import SymbolExpr
 
 
@@ -134,7 +135,7 @@ def integrate_trace(order6: SymbolExpr, contract: bool = True) -> ScalarExpr:
         m = sphere_moment(exps)
         if not m:
             continue
-        total = total + coeff * sc(8) * ScalarExpr.const(m)
+        total = total + coeff * TRACE_ID * ScalarExpr.const(m)
     if contract:
         total = _contract_riemann(total)
     return total * area_s6()

@@ -181,7 +181,8 @@ G_I = GaussRat(0, 1)
 
 FUNC_BASES = ("f", "h", "u")
 CONSTANT_ATOMS = frozenset([("wp",), ("S6",), ("Om4",), ("pi",)])
-DROPPED_DERIV_KINDS = frozenset(["s", "R", "Gam", "sig", "om", "curv0"])
+CONNECTION_KINDS = frozenset(["Gam", "sig", "om", "curv0"])
+DROPPED_DERIV_KINDS = frozenset(["s", "R"]) | CONNECTION_KINDS
 
 _KIND_RANK = {"f": 0, "h": 1, "u": 2, "s": 3, "R": 4, "wp": 5, "Gam": 6,
               "sig": 7, "om": 8, "curv0": 9, "S6": 10, "Om4": 11, "pi": 12}

@@ -30,6 +30,7 @@ from typing import Iterable, Mapping
 
 from .clifford import CliffordElement
 from .scalars import (
+    CONNECTION_KINDS,
     G_I,
     ScalarExpr,
     _accumulate,
@@ -303,95 +304,59 @@ _S_ZERO = SymbolExpr({})
 
 # ---------------------------------------------------------------------------
 # Context evaluation of connection atoms
+#
+# At a boundary point in collar coordinates only three connection quantities
+# are nonzero (Wang, Lett. Math. Phys. 2007): Gam^n = 5/2 w'(0),
+# sig^k = 1/4 w'(0) c_k c_n and omega_{n,k}(e_k) = 1/2 w'(0) for k < n, the
+# last stored as om[k, k, n] = -1/2 w'(0).
+
+_BOUNDARY_CONNECTION = {
+    ("Gam", N_COORD): CliffordElement.identity(sc(5, 2) * wp()),
+    **{("sig", k): CliffordElement.word((k, N_COORD), sc(1, 4) * wp())
+       for k in range(1, N_COORD)},
+    **{("om", k, k, N_COORD): CliffordElement.identity(sc(-1, 2) * wp())
+       for k in range(1, N_COORD)},
+}
 
 
-def _boundary_gam_value(mu: int) -> ScalarExpr:
-    # Gam[n](x0) = 5/2 w'(0); Gam[k](x0) = 0 for k < n
-    if mu == N_COORD:
-        return sc(5, 2) * wp()
-    return ScalarExpr.zero()
-
-
-def _boundary_sig_value(mu: int) -> CliffordElement:
-    # sig[k](x0) = 1/4 w'(0) c_k c_n for k < n; sig[n](x0) = 0
-    if mu == N_COORD:
-        return CliffordElement.zero()
-    return CliffordElement.word((mu, N_COORD), coeff=sc(1, 4) * wp())
-
-
-def _boundary_om_value(i: int, s: int, t: int) -> ScalarExpr:
-    # omega_{n,k}(e_k) = 1/2 w'(0) for k < n, stored as om[k, k, n] = -1/2 w'
-    if s == i and t == N_COORD and i < N_COORD:
-        return sc(-1, 2) * wp()
-    return ScalarExpr.zero()
+def _connection_value(atom, ctx: PointContext) -> CliffordElement:
+    """Value of a connection atom at the point: the table above at a
+    boundary point, zero for every other atom and at an interior point."""
+    if ctx.is_boundary:
+        return _BOUNDARY_CONNECTION.get(atom, CliffordElement.zero())
+    return CliffordElement.zero()
 
 
 def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
-    """Evaluate connection/curvature-remainder atoms at the point.
+    """Evaluate the connection atoms (Gam, sig, om, curv0) at the point.
 
-    Interior: Gam, sig, om and curv0 all evaluate to zero.  Boundary: the
-    values above; sig atoms inject Clifford content (left multiplication).
-    Monomials with more than one connection atom only arise where the result
-    vanishes anyway, so a left fold in canonical atom order is well defined.
+    Each scalar monomial keeps its other atoms as one monomial (a sub-tuple
+    of a canonical monomial is canonical), is multiplied by the values of
+    its connection atoms in canonical atom order and then by its Clifford
+    word on the right, so sig values multiply from the left.  Monomials
+    with more than one connection atom only arise where the result vanishes
+    anyway, so the fold in canonical atom order is well defined.
     """
     out: dict = {}
     for o, terms in S.orders.items():
         row = out.setdefault(o, {})
-        for mono, el in terms.items():
+        for xm, el in terms.items():
+            acc: dict = {}
             for w, coeff in el.terms.items():
-                for new_coeff, cliff_factor in _eval_coeff(coeff, ctx):
-                    piece = CliffordElement({w: new_coeff})
-                    if cliff_factor is not None:
-                        piece = cliff_factor * piece
-                    _accumulate(row, mono, piece)
+                word = CliffordElement({w: ScalarExpr.one()})
+                for mono, c in coeff.terms.items():
+                    keep = tuple((a, e) for a, e in mono
+                                 if a[0] not in CONNECTION_KINDS)
+                    value = CliffordElement.identity(ScalarExpr({keep: c}))
+                    for atom, exp in mono:
+                        if atom[0] in CONNECTION_KINDS:
+                            for _ in range(exp):
+                                value = value * _connection_value(atom, ctx)
+                    for w2, s in (value * word).terms.items():
+                        for m2, c2 in s.terms.items():
+                            _accumulate(acc.setdefault(w2, {}), m2, c2)
+            row[xm] = CliffordElement({w: ScalarExpr(t) for w, t in acc.items()})
     return SymbolExpr(out)
-
-
-def _eval_coeff(coeff: ScalarExpr, ctx: PointContext):
-    """Evaluate connection atoms in a ScalarExpr.
-
-    Returns a list of (ScalarExpr, CliffordElement-or-None) pieces; the
-    Clifford factor (from sig atoms) multiplies from the left.
-    """
-    pieces = []
-    for mono, c in coeff.terms.items():
-        scal = ScalarExpr.const(c)
-        cliff = None
-        dead = False
-        for atom, exp in mono:
-            kind = atom[0]
-            if kind in ("Gam", "sig", "om", "curv0"):
-                if not ctx.is_boundary:
-                    dead = True
-                    break
-                if kind == "Gam":
-                    v = _boundary_gam_value(atom[1])
-                    if not v:
-                        dead = True
-                        break
-                    scal = scal * v ** exp
-                elif kind == "sig":
-                    v = _boundary_sig_value(atom[1])
-                    if not v:
-                        dead = True
-                        break
-                    for _ in range(exp):
-                        cliff = v if cliff is None else cliff * v
-                elif kind == "om":
-                    v = _boundary_om_value(atom[1], atom[2], atom[3])
-                    if not v:
-                        dead = True
-                        break
-                    scal = scal * v ** exp
-                else:  # curv0 has no boundary role in this computation
-                    dead = True
-                    break
-            else:
-                scal = scal * ScalarExpr.atom(atom, exp)
-        if dead or not scal:
-            continue
-        pieces.append((scal, cliff))
-    return pieces
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from wres6 import tables
-from wres6._frozen import boundary_case_correction
+from wres6.tables import boundary_case_correction
 from wres6.boundary import XiRat, phi_case_value, phi_total
 from wres6.calculus import (
     interior_parametrix,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wres6 import tables
-from wres6._frozen import boundary_case_correction, forced_boundary_value
+from wres6.tables import boundary_case_correction, forced_boundary_value
 from wres6.boundary import (
     CASE_DATA,
     BoundaryExpr,

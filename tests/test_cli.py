@@ -10,6 +10,7 @@ import pytest
 import wres6
 from wres6 import report as report_mod
 from wres6.cli import CliError, main, parse_specialization
+from wres6.scalars import ScalarExpr, dfunc, f_pow, sc, u_pow
 
 
 def run_cli(args, capsys):
@@ -211,9 +212,65 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
+# First- and second-order chain rules of each specialization, written out by
+# hand: an oracle independent of ScalarExpr.derive_x.
+def _oracle_const_one(atom):
+    return ScalarExpr.one() if not atom[1] else ScalarExpr.zero()
+
+
+def _oracle_fh1(atom):
+    base, beta = atom[0], atom[1]
+    if base != "h":
+        return ScalarExpr.atom(atom)
+    if not beta:
+        return f_pow(-1)
+    if len(beta) == 1:
+        return f_pow(-2) * sc(-1) * dfunc("f", *beta)
+    j, l = beta
+    return (f_pow(-3) * sc(2) * dfunc("f", j) * dfunc("f", l)
+            - f_pow(-2) * dfunc("f", j, l))
+
+
+def _oracle_power(base: str, p: int):
+    def run(atom):
+        if atom[0] != base:
+            return ScalarExpr.atom(atom)
+        beta = atom[1]
+        if not beta:
+            return u_pow(p)
+        if len(beta) == 1:
+            return sc(p) * u_pow(p - 1) * dfunc("u", *beta)
+        j, l = beta
+        return (sc(p * (p - 1)) * u_pow(p - 2) * dfunc("u", j) * dfunc("u", l)
+                + sc(p) * u_pow(p - 1) * dfunc("u", j, l))
+    return run
+
+
+def _oracle(spec: str):
+    if spec == "f=1,h=1":
+        return _oracle_const_one
+    if spec == "fh=1":
+        return _oracle_fh1
+    p, q = (int(e) for e in spec.replace("f=u^", "").split(",h=u^"))
+    return lambda atom: (_oracle_power("f", p) if atom[0] == "f"
+                         else _oracle_power("h", q))(atom)
+
+
+FUNC_ATOMS = [(base, beta) for base in ("f", "h")
+              for beta in [()] + [(j,) for j in range(1, 7)]
+              + [(j, l) for j in range(1, 7) for l in range(j, 7)]]
+
+
+@pytest.mark.parametrize("spec", ["f=1,h=1", "fh=1"] + [
+    f"f=u^{p},h=u^{q}" for p in (-3, 0, 1, 2) for q in (-2, -1, 0, 1, 3)])
+def test_specialization_matches_hand_chain_rule(spec):
+    got, want = parse_specialization(spec), _oracle(spec)
+    for atom in FUNC_ATOMS:
+        assert got(atom) == want(atom), atom
+
+
 def test_parse_specialization_function_values():
     spec = parse_specialization("fh=1")
-    from wres6.scalars import ScalarExpr, f_pow
     assert spec(("h", ())) == f_pow(-1)
     assert spec(("f", ())) == ScalarExpr.atom(("f", ()))
     with pytest.raises(CliError):

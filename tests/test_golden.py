@@ -31,6 +31,8 @@ def test_verify_all_json_matches_golden(capsys):
 @pytest.mark.parametrize("argv", [
     "verify boundary --case all --format json",
     "verify all --format json --specialize fh=1",
+    "verify all --format json --specialize f=1,h=1",
+    "verify all --format json --specialize f=u^2,h=u^-2",
     "verify all --format text --specialize f=u^-1,h=u^2 "
     "--ledger perfbench/data/empty_ledger.json",
 ])

@@ -3,13 +3,23 @@ import random
 import pytest
 
 from wres6.boundary import BoundaryExpr, XiRat
+from wres6.calculus import build_q_symbols
 from wres6.clifford import CliffordElement
-from wres6.scalars import ScalarExpr, fh_pow, sc, wp
+from wres6.scalars import (
+    CONNECTION_KINDS,
+    ScalarExpr,
+    atom_str,
+    dfunc,
+    fh_pow,
+    sc,
+    wp,
+)
 from wres6.symbols import (
     BOUNDARY,
     INTERIOR,
     SymbolExpr,
     XIM_ONE,
+    apply_context,
     xim_norm,
     xim_xi,
 )
@@ -183,7 +193,9 @@ def test_cancelled_sums_leave_no_entries(pair, field):
     x, y = pair()
     for z in (x + (-x), (x + y) - y - x):
         assert getattr(z, field) == {}
+        assert not z
     assert getattr((x + y) - y, field) == getattr(x, field)
+    assert (x + y) - y == x
 
 
 def test_restrict_sphere_norm_powers():
@@ -208,3 +220,65 @@ def test_restrict_boundary_covector_splits():
         want[(tuple(exps), (a,))] = XiRat.const(ScalarExpr.one())
     want[((0, 0, 0, 0, 0), (6,))] = XiRat.xin(1)
     assert got.terms == want
+
+
+# Connection atoms at a boundary point in collar coordinates: the only
+# nonzero ones, as (Clifford word, coefficient).  Every other connection
+# atom, and every connection atom at an interior point, is zero.
+BOUNDARY_CONNECTION = {
+    ("Gam", 6): ((), sc(5, 2) * wp()),
+    **{("sig", k): ((k, 6), sc(1, 4) * wp()) for k in range(1, 6)},
+    **{("om", k, k, 6): ((), sc(-1, 2) * wp()) for k in range(1, 6)},
+}
+
+CONNECTION_ATOMS = (
+    [("Gam", mu) for mu in range(1, 7)]
+    + [("sig", mu) for mu in range(1, 7)]
+    + [("om", i, s, t) for i in range(1, 7)
+       for s in range(1, 7) for t in range(s + 1, 7)]
+    + [("curv0",)])
+
+
+def _on_word(coeff, word=(6,)):
+    # c_6 on the right tells left from right multiplication by c_k c_6
+    return SymbolExpr.term(xim_norm(-1), CliffordElement({word: coeff}))
+
+
+@pytest.mark.parametrize("atom", CONNECTION_ATOMS, ids=atom_str)
+def test_point_context_values(atom):
+    assert {a[0] for a in CONNECTION_ATOMS} == CONNECTION_KINDS
+    rest = fh_pow(-2) * dfunc("h", 6) * sc(3)
+    S = _on_word(rest * ScalarExpr.atom(atom))
+    assert not apply_context(S, INTERIOR)
+    got = apply_context(S, BOUNDARY)
+    if atom not in BOUNDARY_CONNECTION:
+        assert not got
+        return
+    word, value = BOUNDARY_CONNECTION[atom]
+    left = CliffordElement.word(word, value)
+    right = CliffordElement({(6,): rest})
+    assert got == SymbolExpr.term(xim_norm(-1), left * right)
+    if word:
+        assert got != SymbolExpr.term(xim_norm(-1), right * left)
+
+
+def test_point_context_multiplies_values_in_atom_order():
+    # Gam[6]^2 sig[1] sig[2] om[3,3,6] -> (5/2 w')^2 (1/4 w')^2 (-1/2 w')
+    # * c_1 c_6 c_2 c_6, with sig[1] left of sig[2]
+    mono = (ScalarExpr.atom(("Gam", 6), 2) * ScalarExpr.atom(("sig", 1))
+            * ScalarExpr.atom(("sig", 2)) * ScalarExpr.atom(("om", 3, 3, 6)))
+    got = apply_context(_on_word(mono, ()), BOUNDARY)
+    cliff = CliffordElement.word((1, 6)) * CliffordElement.word((2, 6))
+    value = (sc(5, 2) * wp()) ** 2 * (sc(1, 4) * wp()) ** 2 * sc(-1, 2) * wp()
+    assert got == _on_word(value, ()).cliff_lmul(cliff)
+    assert not apply_context(_on_word(mono, ()), INTERIOR)
+
+
+def test_apply_context_leaves_no_connection_atom():
+    q = build_q_symbols()
+    for ctx in (INTERIOR, BOUNDARY):
+        atoms = {a for row in apply_context(q, ctx).orders.values()
+                 for el in row.values() for c in el.terms.values()
+                 for a in c.atoms()}
+        assert not {a for a in atoms if a[0] in CONNECTION_KINDS}
+        assert (("wp",) in atoms) == ctx.is_boundary
