@@ -4,10 +4,10 @@ On the boundary slice |xi'| = 1 every integrand is a rational function of
 xi_n with poles only at +-i and coefficients in the scalar ring (tensored
 with the Gaussian rationals), times a tangential monomial and a Clifford
 word.  ``XiRat`` implements that rational-function arithmetic exactly:
-partial-fraction-grade normalization, d/dxi_n, the projection onto the
-principal part at +i (the content of the upper half-plane projection on
-rational symbols), and the closed contour integral around +i by the Cauchy
-derivative formula.
+sums and products kept as built and compared by value, d/dxi_n, the
+projection onto the principal part at +i (the content of the upper
+half-plane projection on rational symbols), and the closed contour
+integral around +i by the Cauchy derivative formula.
 
 The five boundary contributions are assembled from their definitions: the
 (r, l, j, k, alpha) data fixes which derivatives hit the projected factor
@@ -95,19 +95,6 @@ def _poly_eval(p, z: GaussRat) -> ScalarExpr:
     return out
 
 
-def _poly_divide_linear(p, r: GaussRat):
-    """Divide p by (x - r) via synthetic division: (quotient, remainder)."""
-    if not p:
-        return (), ScalarExpr.zero()
-    q = [ScalarExpr.zero()] * (len(p) - 1)
-    carry = ScalarExpr.zero()
-    for k in range(len(p) - 1, 0, -1):
-        carry = p[k] + carry * r
-        q[k - 1] = carry
-    rem = p[0] + carry * r
-    return _poly_trim(q), rem
-
-
 def _linear_power(r: GaussRat, k: int):
     """(x - r)^k as an ascending coefficient tuple over ScalarExpr."""
     cs = []
@@ -130,12 +117,10 @@ class XiRat:
 
     __slots__ = ("num", "a", "b")
 
-    def __init__(self, num, a: int = 0, b: int = 0, normalize: bool = True):
+    def __init__(self, num, a: int = 0, b: int = 0):
         if a < 0 or b < 0:
             raise ValueError("pole orders must be nonnegative")
         num = _poly_trim([_as_scalar(c) for c in num])
-        if normalize:
-            num, a, b = self._normalized(num, a, b)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -144,26 +129,8 @@ class XiRat:
         raise AttributeError("XiRat is immutable")
 
     @staticmethod
-    def _normalized(num, a, b):
-        if not num:
-            return (), 0, 0
-        while a > 0:
-            q, rem = _poly_divide_linear(num, _PLUS_I)
-            if rem.is_zero():
-                num, a = q, a - 1
-            else:
-                break
-        while b > 0:
-            q, rem = _poly_divide_linear(num, _MINUS_I)
-            if rem.is_zero():
-                num, b = q, b - 1
-            else:
-                break
-        return num, a, b
-
-    @staticmethod
     def zero() -> "XiRat":
-        return XiRat((), 0, 0, normalize=False)
+        return XiRat((), 0, 0)
 
     @staticmethod
     def const(e) -> "XiRat":
@@ -187,7 +154,7 @@ class XiRat:
     def __eq__(self, other):
         if not isinstance(other, XiRat):
             return NotImplemented
-        return self.num == other.num and self.a == other.a and self.b == other.b
+        return not (self - other).num
 
     def __add__(self, other: "XiRat") -> "XiRat":
         if not isinstance(other, XiRat):
@@ -201,7 +168,7 @@ class XiRat:
         return XiRat(_poly_add(p, q), a, b)
 
     def __neg__(self):
-        return XiRat(tuple(-c for c in self.num), self.a, self.b, normalize=False)
+        return XiRat(tuple(-c for c in self.num), self.a, self.b)
 
     def __sub__(self, other):
         return self + (-other)
@@ -215,18 +182,20 @@ class XiRat:
         return XiRat(_poly_scale(self.num, _as_scalar(e)), self.a, self.b)
 
     def derive(self) -> "XiRat":
-        """d/dxi_n by the quotient rule, normalized."""
+        """d/dxi_n by the quotient rule; only a pole already present rises."""
         n = list(self.num)
         dnum = _poly_trim([n[k] * GaussRat(k) for k in range(1, len(n))])
-        # d/dx [N / ((x-i)^a (x+i)^b)]
-        #   = [N' (x-i)(x+i) - N (a(x+i) + b(x-i))] / ((x-i)^(a+1) (x+i)^(b+1))
-        lin_m = _linear_power(_PLUS_I, 1)
-        lin_p = _linear_power(_MINUS_I, 1)
+        # d/dx [N / (Lm^a Lp^b)] with Lm = x - i, Lp = x + i is
+        #   [N' Lm Lp - a N Lp - b N Lm] / (Lm^(a+1) Lp^(b+1));
+        # a factor whose exponent is 0 cancels, so it is left out
+        lin_m = _linear_power(_PLUS_I, 1 if self.a else 0)
+        lin_p = _linear_power(_MINUS_I, 1 if self.b else 0)
         term1 = _poly_mul(dnum, _poly_mul(lin_m, lin_p))
         corr = _poly_add(_poly_scale(lin_p, ScalarExpr.const(GaussRat(self.a))),
                          _poly_scale(lin_m, ScalarExpr.const(GaussRat(self.b))))
         term2 = _poly_mul(self.num, corr)
-        return XiRat(_poly_add(term1, tuple(-c for c in term2)), self.a + 1, self.b + 1)
+        return XiRat(_poly_add(term1, tuple(-c for c in term2)),
+                     self.a + (self.a > 0), self.b + (self.b > 0))
 
     # -- the upper-half-plane data ------------------------------------------
 
@@ -291,7 +260,7 @@ class XiRat:
             raise DecayError("integrand does not decay at infinity")
         if self.a == 0:
             return ScalarExpr.zero()
-        g = XiRat(self.num, 0, self.b, normalize=False)
+        g = XiRat(self.num, 0, self.b)
         for _ in range(self.a - 1):
             g = g.derive()
         val = _poly_eval(g.num, _PLUS_I)
@@ -522,20 +491,10 @@ def phi_case_value(case: str) -> ScalarExpr:
 def phi_case(case: str, specialize=None, ledger=None) -> BoundaryCaseResult:
     from . import tables
 
-    if ledger is None:
-        ledger = tables.discrepancy_ledger()
     case = CASE_ALIASES[case]
-    value = phi_case_value(case)
-    paper = tables.printed_boundary_value(case)
-    if specialize is not None:
-        value = value.map_func_atoms(specialize)
-        paper = paper.map_func_atoms(specialize)
-    if value == paper:
-        return BoundaryCaseResult(case, value, paper, "match", None)
-    key = f"boundary/case-{case}"
-    ledgered = any(e["location"] == key for e in ledger)
-    return BoundaryCaseResult(case, value, paper,
-                              "diff (ledgered)" if ledgered else "diff", key)
+    return BoundaryCaseResult(case, *tables.judge(
+        f"boundary/case-{case}", phi_case_value(case),
+        tables.printed_boundary_value(case), specialize, ledger))
 
 
 def phi_total(specialize=None) -> ScalarExpr:

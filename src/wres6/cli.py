@@ -10,8 +10,10 @@ Commands:
     wres6 dump term-table [--format text|json]
 
 Exit status: 0 when every comparison is a match or a ledgered diff, 1 on
-any unledgered diff, 2 on usage errors (including malformed ledger files
-and unsupported specializations).
+any diff the ledger does not excuse, 2 on usage errors (including malformed
+ledger files, unsupported specializations, --case outside verify boundary,
+an operator not available in the requested context, and an --out path
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -106,12 +108,17 @@ def load_ledger(path: str) -> list[dict]:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}")
     sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
+    if args.case is not None and args.target != "boundary":
+        raise CliError("--case applies to verify boundary only")
     specialize = None
     spec_label = "none"
     if args.specialize:
@@ -120,7 +127,7 @@ def cmd_verify(args) -> int:
     ledger = load_ledger(args.ledger) if args.ledger else None
 
     cases = None
-    if args.target == "boundary" and args.case != "all":
+    if args.case not in (None, "all"):
         cases = [args.case]
     rep = report_mod.build_report(
         mode=args.target,
@@ -144,6 +151,8 @@ def cmd_dump_symbols(args) -> int:
         ctx = INTERIOR
     elif args.context == "boundary":
         ctx = BOUNDARY
+    if args.operator == "Qinv2" and args.context == "boundary":
+        raise CliError("Qinv2 is an interior-point computation")
     sym = operator_symbols(args.operator, ctx)
     if args.order is not None:
         sym = sym.order_part(args.order)
@@ -186,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification")
     verify.add_argument("target", choices=["interior", "boundary", "all"])
-    verify.add_argument("--case", default="all",
+    verify.add_argument("--case", default=None,
                         choices=["a1", "a2", "a3", "b", "c", "all"])
     verify.add_argument("--specialize", default=None,
                         help="f=1,h=1 | fh=1 | f=u^P,h=u^Q")

@@ -158,23 +158,12 @@ class TermRecord:
 def term_table(specialize=None, ledger=None) -> list[TermRecord]:
     from . import tables
 
-    if ledger is None:
-        ledger = tables.discrepancy_ledger()
-    ledger_keys = {entry["location"] for entry in ledger}
     records = []
     for idx in range(1, 22):
         integrand = tables.printed_expansion_line(idx)
-        computed = integrate_trace(integrand)
-        paper = tables.printed_term_value(idx)
-        if specialize is not None:
-            computed = computed.map_func_atoms(specialize)
-            paper = paper.map_func_atoms(specialize)
-        if computed == paper:
-            verdict, key = "match", None
-        else:
-            key = f"interior/term-{idx:02d}"
-            verdict = "diff (ledgered)" if key in ledger_keys else "diff"
-        records.append(TermRecord(idx, integrand, computed, paper, verdict, key))
+        records.append(TermRecord(idx, integrand, *tables.judge(
+            f"interior/term-{idx:02d}", integrate_trace(integrand),
+            tables.printed_term_value(idx), specialize, ledger)))
     return records
 
 
@@ -203,21 +192,7 @@ def theorem_check_interior(specialize=None, ledger=None) -> InteriorComparison:
     """
     from . import tables
 
-    if ledger is None:
-        ledger = tables.discrepancy_ledger()
-    computed = subst_area(interior_density())
-    paper = tables.printed_theorem_density()
-    if specialize is not None:
-        computed = computed.map_func_atoms(specialize)
-        paper = paper.map_func_atoms(specialize)
-    diff = computed - paper
-    if diff.is_zero():
-        return InteriorComparison(computed, paper, diff, "match", None)
-    key = "interior/theorem-density"
-    ledgered = any(e["location"] == key for e in ledger)
-    expected = tables.expected_density_diff()
-    if specialize is not None:
-        expected = expected.map_func_atoms(specialize)
-    if ledgered and diff == expected:
-        return InteriorComparison(computed, paper, diff, "diff (ledgered)", key)
-    return InteriorComparison(computed, paper, diff, "diff", key)
+    computed, paper, verdict, key = tables.judge(
+        "interior/theorem-density", subst_area(interior_density()),
+        tables.printed_theorem_density(), specialize, ledger)
+    return InteriorComparison(computed, paper, computed - paper, verdict, key)

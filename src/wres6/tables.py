@@ -5,8 +5,10 @@ computation (the inverse-symbol expansions, the 21 sphere-integral items,
 the assembled interior density, and the five boundary cases), expressed
 through the package's own constructors so comparisons run on canonical
 forms.  The discrepancy ledger at the bottom records every printed value
-the forced algebra contradicts, with the forced value frozen explicitly;
-the test suite re-derives each forced value through independent oracles.
+the forced algebra contradicts.  ``judge`` gives every verdict: a ledger
+entry excuses a row only when forced minus printed equals the difference
+frozen for that row, so a changed printed value still reads "diff"; the
+test suite re-derives each frozen difference through independent oracles.
 """
 
 from __future__ import annotations
@@ -322,22 +324,8 @@ def printed_boundary_value(case: str) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # Forced-vs-printed discrepancy ledger
 #
-# Every printed value the forced algebra contradicts, with the forced value
-# recorded explicitly.  Single source of truth for "diff (ledgered)"
-# verdicts; the acceptance suite asserts each computed diff equals the
-# frozen entry exactly.
-
-
-def forced_term_value(idx: int) -> ScalarExpr:
-    """Frozen forced values for the ledgered term-table rows."""
-    fh = fh_pow(1)
-    if idx == 8:
-        return fh_pow(-2) * sc(4) * grad_dot(fh_pow(-3), fh) * sc(8) * area_s6()
-    if idx == 13:
-        return fh_pow(-6) * sc(8, 3) * grad_dot(fh, fh) * sc(8) * area_s6()
-    if idx == 17:
-        return fh_pow(-2) * sc(1, 3) * lap(fh_pow(-2)) * sc(8) * area_s6()
-    raise ValueError(f"term {idx} has no ledgered forced value")
+# Every printed value the forced algebra contradicts, and ``judge``, the one
+# rule that turns a comparison into a verdict.
 
 
 def forced_qinv4_correction() -> SymbolExpr:
@@ -405,13 +393,39 @@ def boundary_case_correction() -> ScalarExpr:
             * pi_atom() * omega4())
 
 
-def forced_boundary_value(case: str) -> ScalarExpr:
-    base = printed_boundary_value(case)
-    if case == "b":
-        return base + boundary_case_correction()
-    if case == "c":
-        return base - boundary_case_correction()
-    return base
+# Forced minus printed value of each ledgered verdict row, frozen on its own
+# so that a changed printed value is not excused.
+FROZEN_DIFFERENCES = {
+    "interior/term-08": lambda: fh_pow(-2) * h_pow(1) * sc(4) * grad_dot(
+        fh_pow(-3), f_pow(1)) * sc(8) * area_s6(),
+    "interior/term-13": lambda: fh_pow(-6) * sc(10, 3) * grad_dot(
+        fh_pow(1), fh_pow(1)) * sc(8) * area_s6(),
+    "interior/term-17": lambda: fh_pow(-2) * lap(fh_pow(-2)) * sc(8) * area_s6(),
+    "interior/theorem-density": expected_density_diff,
+    "boundary/case-b": boundary_case_correction,
+    "boundary/case-c": lambda: -boundary_case_correction(),
+}
+
+
+def judge(location: str, computed: ScalarExpr, paper: ScalarExpr,
+          specialize=None, ledger=None):
+    """(computed, paper, verdict, ledger location) of one verdict row.
+
+    ``specialize`` maps the function atoms of both sides and of the frozen
+    difference; ``ledger`` defaults to the bundled one.
+    """
+    def spec(e: ScalarExpr) -> ScalarExpr:
+        return e if specialize is None else e.map_func_atoms(specialize)
+
+    computed, paper = spec(computed), spec(paper)
+    if computed == paper:
+        return computed, paper, "match", None
+    if ledger is None:
+        ledger = discrepancy_ledger()
+    excused = (location in FROZEN_DIFFERENCES
+               and any(e["location"] == location for e in ledger)
+               and computed - paper == spec(FROZEN_DIFFERENCES[location]()))
+    return computed, paper, "diff (ledgered)" if excused else "diff", location
 
 
 def discrepancy_ledger() -> list[dict]:

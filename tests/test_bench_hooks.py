@@ -1,0 +1,44 @@
+"""The benchmark's hooks must still name functions of the package.
+
+``perfbench/child.py`` patches ``SPAN_TARGETS`` by name and counts the
+``COUNTED`` functions by qualified name; a renamed function would otherwise
+only show up when the benchmark is run with ``--trace 1``.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+
+
+def _load_child():
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_targets_install_and_uninstall():
+    child = _load_child()
+    tracer = child.Tracer()
+    try:
+        tracer.install()  # raises if a SPAN_TARGETS name is gone
+        patched = list(tracer._restore)
+    finally:
+        tracer.uninstall()
+    assert {attr.split(".")[-1] for _, attr, _ in child.SPAN_TARGETS} <= {
+        key for _, key, _ in patched}
+    for owner, key, original in patched:
+        assert getattr(owner, key) is original
+
+
+def test_counted_names_resolve():
+    child = _load_child()
+    for suffix, qualname in child.COUNTED.values():
+        stem = suffix[:-len(".py")]
+        obj = importlib.import_module(
+            stem if stem == "fractions" else f"wres6.{stem}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wres6 import tables
-from wres6.tables import boundary_case_correction, forced_boundary_value
+from wres6.tables import FROZEN_DIFFERENCES, boundary_case_correction
 from wres6.boundary import (
     CASE_DATA,
     BoundaryExpr,
@@ -32,12 +32,12 @@ from wres6.scalars import (
 rng = random.Random(2718)
 
 
-def rand_rat(max_num_deg=3, max_pole=3):
-    num = [ScalarExpr.const(GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                                     Fraction(rng.randint(-3, 3), 2)))
-           for _ in range(rng.randint(1, max_num_deg + 1))]
-    a = rng.randint(0, max_pole)
-    b = rng.randint(0, max_pole)
+def rand_rat(max_num_deg=3, max_pole=3, gen=rng):
+    num = [ScalarExpr.const(GaussRat(Fraction(gen.randint(-5, 5), gen.randint(1, 3)),
+                                     Fraction(gen.randint(-3, 3), 2)))
+           for _ in range(gen.randint(1, max_num_deg + 1))]
+    a = gen.randint(0, max_pole)
+    b = gen.randint(0, max_pole)
     return XiRat(num, a, b)
 
 
@@ -59,10 +59,32 @@ def test_trace_keeps_empty_words_times_8():
 
 
 def test_normalization_cancels_common_factors():
-    # (xin - i)(xin + i) / (1 + xin^2) == 1
+    # (xin - i)(xin + i) / (1 + xin^2) == 1, as values: nothing is cancelled
     num = (ScalarExpr.one(), ScalarExpr.zero(), ScalarExpr.one())
     r = XiRat(num, 1, 1)
+    assert (r.a, r.b) == (1, 1)
     assert r == XiRat.const(ScalarExpr.one())
+    assert r != XiRat.const(sc(2))
+
+
+def test_common_factor_changes_no_value_randomized():
+    """A XiRat keeps the form it was built in, so a common factor
+    (xin - i)(xin + i) may stay in it; every operation sees the same value."""
+    local = random.Random(1978)
+    unit = XiRat((ScalarExpr.one(), ScalarExpr.zero(), ScalarExpr.one()), 1, 1)
+    for _ in range(200):
+        r = rand_rat(gen=local)
+        s = r * unit
+        assert (s.a, s.b) == (r.a + 1, r.b + 1)
+        assert s == r
+        assert s.pi_plus() == r.pi_plus()
+        assert s.derive() == r.derive()
+        if r.decays():
+            assert s.contour_integral() == r.contour_integral()
+        # d/dxin adds no removable pole where r has none
+        d = r.derive()
+        assert d.a == 0 if r.a == 0 else d.a == r.a + 1
+        assert d.b == 0 if r.b == 0 else d.b == r.b + 1
 
 
 def test_arithmetic_matches_numeric():
@@ -268,7 +290,8 @@ def test_phi_3_is_minus_phi_2():
 
 
 def test_phi_4_forced_value():
-    assert phi_case_value("b") == forced_boundary_value("b")
+    assert phi_case_value("b") == (tables.printed_boundary_value("b")
+                                   + FROZEN_DIFFERENCES["boundary/case-b"]())
 
 
 def test_phi_4_plus_phi_5_vanishes():

@@ -9,6 +9,7 @@ import pytest
 
 import wres6
 from wres6 import report as report_mod
+from wres6 import tables
 from wres6.cli import CliError, main, parse_specialization
 from wres6.scalars import ScalarExpr, dfunc, f_pow, sc, u_pow
 
@@ -141,6 +142,52 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(target.read_text())
     assert rep["schema"] == "wres-report/1"
+
+
+def test_case_outside_verify_boundary_exits_2(capsys):
+    for target in ("all", "interior"):
+        assert main(["verify", target, "--case", "b"]) == 2
+        assert "error: --case applies to verify boundary only" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["verify", "boundary", "--case", "a1", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+def test_dump_qinv2_at_boundary_exits_2(capsys):
+    code = main(["dump", "symbols", "--operator", "Qinv2", "--context", "boundary"])
+    assert code == 2
+    assert "error: Qinv2 is an interior-point computation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, arg, section, rows, key", [
+    ("printed_term_value", 8, "interior", "terms", "index"),
+    ("printed_boundary_value", "b", "boundary", "cases", "case"),
+])
+def test_changed_printed_value_of_ledgered_row_is_a_diff(
+        name, arg, section, rows, key, monkeypatch, capsys):
+    # scaling the printed value by 5/4 (term 8: 4 -> 5) keeps the row in the
+    # ledger, but computed - printed no longer equals its frozen difference
+    printed = getattr(tables, name)
+    monkeypatch.setattr(tables, name, lambda x: printed(x) * (
+        sc(5, 4) if x == arg else sc(1)))
+    code, out = run_cli(["verify", "all", "--format", "json"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    verdicts = {r[key]: r["verdict"] for r in rep[section][rows]}
+    assert verdicts[arg] == "diff"
+    assert rep["status"] == "fail"
+
+
+def test_every_ledgered_verdict_row_has_a_frozen_difference():
+    locations = {e["location"] for e in tables.discrepancy_ledger()}
+    rows = {loc for loc in locations
+            if loc.startswith(("interior/term-", "boundary/case-"))
+            or loc == "interior/theorem-density"}
+    assert set(tables.FROZEN_DIFFERENCES) <= locations
+    assert rows == set(tables.FROZEN_DIFFERENCES)
 
 
 def test_malformed_ledger_exits_2(tmp_path, capsys):

@@ -133,10 +133,15 @@ def test_term_table_verdicts():
             assert verdicts[idx] == "match", f"term {idx}"
 
 
+def _printed_plus_frozen(idx):
+    diff = tables.FROZEN_DIFFERENCES[f"interior/term-{idx:02d}"]()
+    return tables.printed_term_value(idx) + diff
+
+
 def test_term_table_ledgered_rows_match_frozen_forced_values():
     records = {r.index: r for r in term_table()}
     for idx in (8, 13, 17):
-        assert records[idx].computed == tables.forced_term_value(idx)
+        assert records[idx].computed == _printed_plus_frozen(idx)
 
 
 def test_term_record_2_value():
@@ -234,7 +239,7 @@ def _numeric_integrate_trace(S: SymbolExpr, assign, trace_of) -> GaussRat:
 def test_term_13_numeric_oracle():
     """The four-generator trace term, checked against the matrix/Gamma path."""
     line = tables.printed_expansion_line(13)
-    forced = tables.forced_term_value(13)
+    forced = _printed_plus_frozen(13)
     assert integrate_trace(line) == forced
     trace_of = _word_traces()
     local = random.Random(131)
