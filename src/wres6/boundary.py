@@ -415,7 +415,7 @@ def _poly_mul_pow(base, p: int):
 @lru_cache(maxsize=None)
 def boundary_parametrix():
     q = apply_context(build_q_symbols(), BOUNDARY)
-    return invert_symbol(q, BOUNDARY, depth=2)
+    return invert_symbol(q, BOUNDARY)
 
 
 def boundary_sigma(k: int) -> BoundaryExpr:

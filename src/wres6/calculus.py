@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .clifford import CliffordElement, c_of_d
 from .scalars import (
@@ -56,8 +57,9 @@ from .symbols import (
     XIM_ONE,
     apply_context,
     compose,
+    xi_linear,
+    xi_quadratic,
     xim_norm,
-    xim_xi,
 )
 
 
@@ -72,32 +74,22 @@ class RouteDisagreement(RuntimeError):
 def build_d_symbols() -> SymbolExpr:
     """sigma(D): order 1 is i c(xi); order 0 the frame-connection cubic."""
     order1 = SymbolExpr.xi_covector().scale(ScalarExpr.const(G_I))
-    zero_el = CliffordElement.zero()
-    acc = zero_el
-    for i in range(1, 7):
-        for s in range(1, 7):
-            for t in range(1, 7):
-                if s == t:
-                    continue
-                w = omega(i, s, t)
-                if not w:
-                    continue
-                word = (CliffordElement.generator(i)
-                        * CliffordElement.generator(s)
-                        * CliffordElement.generator(t))
-                acc = acc + word.map_scalars(lambda c: c * w * sc(-1, 4))
-    order0 = SymbolExpr.term(XIM_ONE, acc) if acc else SymbolExpr.zero()
-    return order1 + order0
+    acc = CliffordElement.zero()
+    for i, s, t in product(range(1, 7), repeat=3):
+        w = omega(i, s, t)  # zero for s == t
+        if w:
+            word = (CliffordElement.generator(i) * CliffordElement.generator(s)
+                    * CliffordElement.generator(t))
+            acc = acc + word.scale(w * sc(-1, 4))
+    return order1 + SymbolExpr.term(XIM_ONE, acc)
 
 
 def build_d2_symbols() -> SymbolExpr:
     """sigma(D^2): |xi|^2 + i(Gam^mu - 2 sig^mu) xi_mu + (curv0 + s/4)."""
-    out = SymbolExpr.norm_sq(1)
-    for mu in range(1, 7):
-        coeff = (gam(mu) - sc(2) * sig(mu)) * ScalarExpr.const(G_I)
-        out = out + SymbolExpr.scalar_term(xim_xi(mu), coeff)
-    out = out + SymbolExpr.scalar_term(XIM_ONE, curv0() + sc(1, 4) * s_atom())
-    return out
+    i_const = ScalarExpr.const(G_I)
+    return (SymbolExpr.norm_sq(1)
+            + xi_linear(lambda mu: (gam(mu) - sc(2) * sig(mu)) * i_const)
+            + SymbolExpr.norm_sq(0, curv0() + sc(1, 4) * s_atom()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +157,18 @@ class Parametrix:
 
 
 def riemann_contraction_term() -> SymbolExpr:
-    """2/3 (fh)^-2 |xi|^-6 R_{alpha a alpha mu} xi_a xi_mu, index-expanded."""
-    out = SymbolExpr.zero()
-    pref = fh_pow(-2) * sc(2, 3)
-    for a in range(1, 7):
-        for m in range(1, 7):
-            e = [0] * 6
-            e[a - 1] += 1
-            e[m - 1] += 1
-            mono = (tuple(e), -3)
-            out = out + SymbolExpr.scalar_term(mono, pref * riem(a, m))
-    return out
+    """2/3 (fh)^-2 |xi|^-6 R_{alpha a alpha mu} xi_a xi_mu."""
+    return xi_quadratic(riem).mul(SymbolExpr.norm_sq(-3, fh_pow(-2) * sc(2, 3)))
 
 
-def invert_symbol(q: SymbolExpr, ctx: PointContext, depth: int = 3) -> Parametrix:
+def invert_symbol(q: SymbolExpr, ctx: PointContext) -> Parametrix:
     """Solve the triangular recursion for the inverse symbols.
 
     ``q`` must already be context-evaluated.  The order-2 part must be an
-    invertible scalar monomial times |xi|^2.
+    invertible scalar monomial times |xi|^2.  An interior point needs
+    b_-2, b_-3 and b_-4; a boundary point needs b_-2 and b_-3 only.
     """
-    if depth not in (2, 3):
-        raise ValueError("depth must be 2 or 3")
+    depth = 2 if ctx.is_boundary else 3
     top = q.order_part(2)
     if set(top.orders) != {2} or list(top.orders[2]) != [xim_norm(1)]:
         raise ValueError("leading symbol is not a multiple of |xi|^2")
@@ -204,8 +187,7 @@ def invert_symbol(q: SymbolExpr, ctx: PointContext, depth: int = 3) -> Parametri
         bs[-2 - k] = nxt
         partial = partial + nxt
 
-    imp = riemann_contraction_term() if (depth >= 3 and not ctx.is_boundary) \
-        else SymbolExpr.zero()
+    imp = SymbolExpr.zero() if ctx.is_boundary else riemann_contraction_term()
     return Parametrix(
         b2=bs[-2],
         b3=bs.get(-3, SymbolExpr.zero()),
@@ -222,7 +204,7 @@ def interior_q() -> SymbolExpr:
 
 @lru_cache(maxsize=None)
 def interior_parametrix() -> Parametrix:
-    return invert_symbol(interior_q(), INTERIOR, depth=3)
+    return invert_symbol(interior_q(), INTERIOR)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +245,27 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
     b3 = par.b3
     b4 = par.b4
 
+    s2inv_sq = s2inv.mul(s2inv)
+    dx_s2inv = {mu: s2inv.derive_x(mu, ctx) for mu in range(1, 7)}
+
     out = s2inv.mul(b4).scale(sc(3))
-    out = out + s2inv.mul(s2inv).mul(s2inv).mul(s0)
+    out = out + s2inv_sq.mul(s2inv).mul(s0)
     out = out + b3.mul(b3)
-    out = out + s2inv.mul(s2inv).mul(s1).mul(b3)
+    out = out + s2inv_sq.mul(s1).mul(b3)
 
     i_const = ScalarExpr.const(G_I)
-    for mu in range(1, 7):
-        dx_s2inv = s2inv.derive_x(mu, ctx)
-        if dx_s2inv:
-            t1 = s2inv.mul(s2inv).mul(s1.derive_xi(mu)).mul(dx_s2inv)
+    for mu, dx in dx_s2inv.items():
+        if dx:
+            t1 = s2inv_sq.mul(s1.derive_xi(mu)).mul(dx)
             out = out - t1.scale(i_const)
-            t2 = b3.derive_xi(mu).mul(dx_s2inv)
+            t2 = b3.derive_xi(mu).mul(dx)
             out = out - t2.scale(i_const)
-    for mu in range(1, 7):
+    for mu, dx in dx_s2inv.items():
         for nu in range(1, 7):
-            ddx = s2inv.derive_x(mu, ctx).derive_x(nu, ctx)
+            ddx = dx.derive_x(nu, ctx)
             if not ddx:
                 continue
-            t3 = s2inv.mul(s2inv).mul(s2.derive_xi(mu).derive_xi(nu)).mul(ddx)
+            t3 = s2inv_sq.mul(s2.derive_xi(mu).derive_xi(nu)).mul(ddx)
             out = out - t3.scale(sc(1, 2))
             t4 = s2inv.derive_xi(mu).derive_xi(nu).mul(ddx)
             out = out - t4.scale(sc(1, 2))
@@ -305,9 +289,7 @@ def operator_symbols(name: str, ctx: PointContext | None = None) -> SymbolExpr:
         return sym
     if name == "Qinv":
         use = ctx or INTERIOR
-        q = apply_context(build_q_symbols(), use)
-        depth = 2 if use.is_boundary else 3
-        return invert_symbol(q, use, depth=depth).full_symbol()
+        return invert_symbol(apply_context(build_q_symbols(), use), use).full_symbol()
     if name == "Qinv2":
         if ctx is not None and ctx.is_boundary:
             raise ValueError("Qinv2 is an interior-point computation")

@@ -106,13 +106,17 @@ def load_ledger(path: str) -> list[dict]:
 # Commands
 
 
+def _write(out_path: str, text: str, mode: str = "w"):
+    try:
+        with open(out_path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc}")
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {out_path}: {exc}")
+        _write(out_path, text)
     sys.stdout.write(text)
 
 
@@ -233,6 +237,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code) if exc.code is not None else USAGE_ERROR
     try:
+        if args.out:
+            _write(args.out, "", "a")  # reject an unwritable --out before any work
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ def interior_section(specialize=None, ledger=None) -> dict:
 
 def boundary_section(cases=None, specialize=None, ledger=None) -> dict:
     from .boundary import CASE_DATA, phi_case
+    from .tables import judge
 
     wanted = list(CASE_DATA) if cases is None else cases
     results = [phi_case(c, specialize=specialize, ledger=ledger) for c in wanted]
@@ -69,11 +70,8 @@ def boundary_section(cases=None, specialize=None, ledger=None) -> dict:
         # specialization is a ring homomorphism, so the sum of the specialized
         # case values is the specialized total
         total = sum((r.value for r in results), ScalarExpr.zero())
-        out["total"] = {
-            "computed": str(total),
-            "expected": "0",
-            "verdict": "match" if total.is_zero() else "diff",
-        }
+        verdict = judge("boundary/total", total, ScalarExpr.zero(), None, ledger)[2]
+        out["total"] = {"computed": str(total), "expected": "0", "verdict": verdict}
     return out
 
 

@@ -139,8 +139,7 @@ class SymbolExpr:
     @staticmethod
     def xi_covector() -> "SymbolExpr":
         """c(xi) = sum_j xi_j c_j as an order-1 symbol."""
-        return SymbolExpr({1: {xim_xi(j): CliffordElement.generator(j)
-                               for j in range(1, 7)}})
+        return xi_linear(CliffordElement.generator)
 
     @staticmethod
     def norm_sq(p: int = 1, coeff=1) -> "SymbolExpr":
@@ -300,6 +299,28 @@ class SymbolExpr:
 
 
 _S_ZERO = SymbolExpr({})
+
+
+def _xi_form(order: int, coeffs: dict) -> SymbolExpr:
+    """The symbol {xi-monomial: coefficient}, scalar coefficients as the
+    identity element times the scalar."""
+    return SymbolExpr({order: {
+        m: c if isinstance(c, CliffordElement) else CliffordElement.identity(c)
+        for m, c in coeffs.items()}})
+
+
+def xi_linear(v) -> SymbolExpr:
+    """sum_j v(j) xi_j; v(j) is a ScalarExpr or a CliffordElement."""
+    return _xi_form(1, {xim_xi(j): v(j) for j in range(1, 7)})
+
+
+def xi_quadratic(q) -> SymbolExpr:
+    """sum_jl q(j, l) xi_j xi_l with scalar q(j, l)."""
+    coeffs: dict = {}
+    for j in range(1, 7):
+        for l in range(1, 7):
+            _accumulate(coeffs, xim_mul(xim_xi(j), xim_xi(l)), q(j, l))
+    return _xi_form(2, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ test suite re-derives each frozen difference through independent oracles.
 
 from __future__ import annotations
 
-from .clifford import CliffordElement, c_of_d
+from functools import lru_cache, reduce
+
+from .clifford import c_of_d
 from .scalars import (
     G_I,
     ScalarExpr,
@@ -30,73 +32,36 @@ from .scalars import (
     sc,
     wp,
 )
-from .symbols import SymbolExpr, xim_norm
+from .symbols import SymbolExpr, xi_linear, xi_quadratic, xim_norm
 
 # ---------------------------------------------------------------------------
-# small builders
+# Printed symbols as products of xi-forms
 
 
-def _xim(pairs, p):
-    e = [0] * 6
-    for j, k in pairs:
-        e[j - 1] += k
-    return (tuple(e), p)
+def _printed(p: int, prefactor: ScalarExpr, *factors: SymbolExpr) -> SymbolExpr:
+    """factors[0] * factors[1] * ... * prefactor |xi|^(2p).
+
+    The factors multiply first and in the order given: Clifford factors do
+    not commute, and the prefactor is cheaper applied once to the product.
+    """
+    return reduce(SymbolExpr.mul, (*factors, SymbolExpr.norm_sq(p, prefactor)))
 
 
-def _st(mono, coeff) -> SymbolExpr:
-    return SymbolExpr.scalar_term(mono, coeff)
+def _xi_hess(u: ScalarExpr) -> SymbolExpr:
+    """sum_jl d_j d_l u xi_j xi_l."""
+    return xi_quadratic(lambda j, l: u.derive_x(j).derive_x(l))
 
 
-def _xixi_scalar(prefactor: ScalarExpr, left, right, p: int) -> SymbolExpr:
-    """prefactor * sum_jl left_j right_l xi_j xi_l |xi|^(2p)."""
-    out = SymbolExpr.zero()
-    for j in range(1, 7):
-        lj = left(j)
-        if not lj:
-            continue
-        for l in range(1, 7):
-            rl = right(l)
-            if not rl:
-                continue
-            out = out + _st(_xim([(j, 1), (l, 1)], p), prefactor * lj * rl)
-    return out
+@lru_cache(maxsize=None)
+def _cdhf_cxi() -> SymbolExpr:
+    """c(d(hf)) c(xi)."""
+    return SymbolExpr.xi_covector().cliff_lmul(c_of_d(fh_pow(1)))
 
 
-def _contracted_scalar(prefactor: ScalarExpr, left, right, p: int) -> SymbolExpr:
-    out = ScalarExpr.zero()
-    for j in range(1, 7):
-        out = out + left(j) * right(j)
-    return _st(xim_norm(p), prefactor * out)
-
-
-def _xi_cliff(prefactor, weight, p: int) -> SymbolExpr:
-    """prefactor * sum_j weight_j xi_j c(d(hf)) c(xi) |xi|^(2p)."""
-    cdhf = c_of_d(fh_pow(1))
-    cxi = SymbolExpr.xi_covector()
-    out = SymbolExpr.zero()
-    for j in range(1, 7):
-        wj = weight(j)
-        if not wj:
-            continue
-        piece = cxi.cliff_lmul(cdhf).scale(prefactor * wj)
-        out = out + piece.mul(_st(_xim([(j, 1)], p), ScalarExpr.one()))
-    return out
-
-
-def _dh(j):
-    return h_pow(1).derive_x(j)
-
-
-def _dfh(j):
-    return fh_pow(1).derive_x(j)
-
-
-def _ddh(j, l):
-    return h_pow(1).derive_x(j).derive_x(l)
-
-
-def _ddfh(j, l):
-    return fh_pow(1).derive_x(j).derive_x(l)
+def _cliff_hessian_form() -> SymbolExpr:
+    """sum_mu c(d(d_mu(fh))) c(xi) xi_mu."""
+    return xi_linear(lambda mu: c_of_d(fh_pow(1).derive_x(mu))).mul(
+        SymbolExpr.xi_covector())
 
 
 # ---------------------------------------------------------------------------
@@ -104,83 +69,58 @@ def _ddfh(j, l):
 
 
 def printed_expansion_line(idx: int) -> SymbolExpr:
+    f, h, fh = f_pow(1), h_pow(1), fh_pow(1)
+    # <xi, grad h>, <xi, grad(fh)> and c(d(hf)) c(xi)
+    xi_h, xi_fh, cc = xi_linear(h.derive_x), xi_linear(fh.derive_x), _cdhf_cxi()
     if idx == 1:
-        return _st(xim_norm(-3), fh_pow(-4) * sc(-1, 2) * s_atom())
+        return _printed(-3, fh_pow(-4) * sc(-1, 2) * s_atom())
     if idx == 2:
-        out = SymbolExpr.zero()
-        for a in range(1, 7):
-            for m in range(1, 7):
-                out = out + _st(_xim([(a, 1), (m, 1)], -4),
-                                fh_pow(-4) * sc(2) * riem(a, m))
-        return out
+        return _printed(-4, fh_pow(-4) * sc(2), xi_quadratic(riem))
     if idx == 3:
-        return _xixi_scalar(fh_pow(-6) * f_pow(2) * sc(-12), _dh, _dh, -4)
+        return _printed(-4, fh_pow(-6) * f_pow(2) * sc(-12), xi_h, xi_h)
     if idx == 4:
-        return _xixi_scalar(fh_pow(-6) * f_pow(1) * sc(44), _dh, _dfh, -4)
+        return _printed(-4, fh_pow(-6) * f * sc(44), xi_h, xi_fh)
     if idx == 5:
-        return _contracted_scalar(fh_pow(-6) * f_pow(1) * sc(-10), _dh, _dfh, -3)
+        return _printed(-3, fh_pow(-6) * f * sc(-10) * grad_dot(h, fh))
     if idx == 6:
-        comp = f_pow(-2) * h_pow(-3)  # (fh)^-3 f
-        return _xixi_scalar(fh_pow(-2) * sc(-12),
-                            lambda j: comp.derive_x(j), _dh, -4)
+        # (fh)^-3 f = f^-2 h^-3
+        return _printed(-4, fh_pow(-2) * sc(-12),
+                        xi_linear((f_pow(-2) * h_pow(-3)).derive_x), xi_h)
     if idx == 7:
-        return _second_deriv_line(fh_pow(-5) * f_pow(1) * sc(-12), _ddh, -4)
+        return _printed(-4, fh_pow(-5) * f * sc(-12), _xi_hess(h))
     if idx == 8:
-        return _xixi_scalar(fh_pow(-2) * sc(24),
-                            lambda j: fh_pow(-3).derive_x(j), _dfh, -4)
+        return _printed(-4, fh_pow(-2) * sc(24), xi_linear(fh_pow(-3).derive_x), xi_fh)
     if idx == 9:
-        return _second_deriv_line(fh_pow(-5) * sc(24), _ddfh, -4)
+        return _printed(-4, fh_pow(-5) * sc(24), _xi_hess(fh))
     if idx == 10:
-        return _st(xim_norm(-3),
-                   fh_pow(-2) * sc(3) * lap(fh_pow(-2)))
+        return _printed(-3, fh_pow(-2) * sc(3) * lap(fh_pow(-2)))
     if idx == 11:
-        return _xi_cliff(fh_pow(-6) * f_pow(1) * sc(14), _dh, -4)
+        return _printed(-4, fh_pow(-6) * f * sc(14), xi_h, cc)
     if idx == 12:
-        return _xi_cliff(fh_pow(-6) * sc(-28), _dfh, -4)
+        return _printed(-4, fh_pow(-6) * sc(-28), xi_fh, cc)
     if idx == 13:
-        cdhf = c_of_d(fh_pow(1))
-        cxi = SymbolExpr.xi_covector()
-        piece = cxi.cliff_lmul(cdhf)
-        return piece.mul(piece).scale(fh_pow(-6) * sc(-4)).mul(
-            _st(xim_norm(-4), ScalarExpr.one()))
+        return _printed(-4, fh_pow(-6) * sc(-4), cc, cc)
     if idx == 14:
-        cdhf = c_of_d(fh_pow(1))
-        out = SymbolExpr.zero()
-        for mu in range(1, 7):
-            el = cdhf * CliffordElement.generator(mu)
-            out = out + SymbolExpr.term(
-                xim_norm(-3), el.map_scalars(
-                    lambda c, mu=mu: c * fh_pow(-6) * sc(6) * _dfh(mu)))
-        return out
+        return SymbolExpr.term(xim_norm(-3),
+                               (c_of_d(fh) * c_of_d(fh)).scale(fh_pow(-6) * sc(6)))
     if idx == 15:
-        return _st(xim_norm(-3), fh_pow(-5) * f_pow(1) * sc(2) * lap(h_pow(1)))
+        return _printed(-3, fh_pow(-5) * f * sc(2) * lap(h))
     if idx == 16:
-        el = c_of_d(fh_pow(1)) * c_of_d(h_pow(1))
-        return SymbolExpr.term(
-            xim_norm(-3), el.map_scalars(lambda c: c * fh_pow(-6) * f_pow(1) * sc(-2)))
+        return SymbolExpr.term(xim_norm(-3),
+                               (c_of_d(fh) * c_of_d(h)).scale(fh_pow(-6) * f * sc(-2)))
     if idx == 17:
-        return _second_deriv_line(fh_pow(-2) * sc(2),
-                                  lambda j, l: fh_pow(-2).derive_x(j).derive_x(l), -4)
+        return _printed(-4, fh_pow(-2) * sc(2), _xi_hess(fh_pow(-2)))
     if idx == 18:
-        return _xixi_scalar(fh_pow(-6) * sc(-42), _dfh, _dfh, -4)
+        return _printed(-4, fh_pow(-6) * sc(-42), xi_fh, xi_fh)
     if idx == 19:
         # sum_j c(d(hf)) d/dx_j[c(xi)] xi_j vanishes identically at the
         # interior point; the printed line is retained as an exact zero
         return SymbolExpr.zero()
     if idx == 20:
-        return _contracted_scalar(fh_pow(-6) * sc(8), _dfh, _dfh, -3)
+        return _printed(-3, fh_pow(-6) * sc(8) * grad_dot(fh, fh))
     if idx == 21:
-        return _xi_cliff(fh_pow(-2) * sc(6),
-                         lambda j: fh_pow(-3).derive_x(j), -4)
+        return _printed(-4, fh_pow(-2) * sc(6), xi_linear(fh_pow(-3).derive_x), cc)
     raise ValueError(f"expansion line index {idx} out of range")
-
-
-def _second_deriv_line(prefactor, dd, p) -> SymbolExpr:
-    out = SymbolExpr.zero()
-    for j in range(1, 7):
-        for l in range(1, 7):
-            out = out + _st(_xim([(j, 1), (l, 1)], p), prefactor * dd(j, l))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,55 +190,35 @@ def printed_qinv_order(k: int) -> SymbolExpr:
     second-derivative term of the order -4 symbol that the forced recursion
     contradicts (see the discrepancy ledger).
     """
-    f = f_pow(1)
-    cdhf = c_of_d(fh_pow(1))
-    cxi = SymbolExpr.xi_covector()
+    f, h, fh = f_pow(1), h_pow(1), fh_pow(1)
+    xi_h, xi_fh, cc = xi_linear(h.derive_x), xi_linear(fh.derive_x), _cdhf_cxi()
     if k == -2:
-        return _st(xim_norm(-1), fh_pow(-2))
+        return _printed(-1, fh_pow(-2))
     if k == -3:
-        out = SymbolExpr.zero()
-        for j in range(1, 7):
-            coeff = (fh_pow(-3) * f * sc(2) * _dh(j)
-                     - fh_pow(-3) * sc(4) * _dfh(j)) * ScalarExpr.const(G_I)
-            out = out + _st(_xim([(j, 1)], -2), coeff)
-        out = out + cxi.cliff_lmul(cdhf).scale(
-            fh_pow(-3) * ScalarExpr.const(-G_I)).mul(
-                _st(xim_norm(-2), ScalarExpr.one()))
-        return out
+        return _printed(-2, fh_pow(-3) * ScalarExpr.const(G_I),
+                        xi_h.scale(f * sc(2)) - xi_fh.scale(sc(4)) - cc)
     if k == -4:
-        out = _st(xim_norm(-2), fh_pow(-2) * sc(-1, 4) * s_atom())
-        for a in range(1, 7):
-            for m in range(1, 7):
-                out = out + _st(_xim([(a, 1), (m, 1)], -3),
-                                fh_pow(-2) * sc(2, 3) * riem(a, m))
-        out = out + _xixi_scalar(fh_pow(-4) * f_pow(2) * sc(-4), _dh, _dh, -3)
-        out = out + _xixi_scalar(fh_pow(-4) * f * sc(8), _dh, _dfh, -3)
-        out = out + _contracted_scalar(fh_pow(-4) * f * sc(-4), _dh, _dfh, -2)
-        comp_f = f_pow(-2) * h_pow(-3)
-        out = out + _xixi_scalar(sc(-4), lambda j: comp_f.derive_x(j), _dh, -3)
-        out = out + _second_deriv_line(fh_pow(-3) * f * sc(-4), _ddh, -3)
-        out = out + _xixi_scalar(sc(8), lambda j: fh_pow(-3).derive_x(j), _dfh, -3)
-        out = out + _second_deriv_line(fh_pow(-3) * f * sc(8), _ddfh, -3)  # as printed
-        out = out + _st(xim_norm(-2), lap(fh_pow(-2)))
-        out = out + _xi_cliff(fh_pow(-4) * f * sc(4), _dh, -3)
-        out = out + _xi_cliff(fh_pow(-4) * sc(-4), _dfh, -3)
-        piece = cxi.cliff_lmul(cdhf)
-        out = out + piece.mul(piece).scale(fh_pow(-4) * sc(-1)).mul(
-            _st(xim_norm(-3), ScalarExpr.one()))
-        for mu in range(1, 7):
-            el = cdhf * CliffordElement.generator(mu)
-            out = out + SymbolExpr.term(xim_norm(-2), el.map_scalars(
-                lambda c, mu=mu: c * fh_pow(-4) * sc(2) * _dfh(mu)))
-        out = out + _st(xim_norm(-2), fh_pow(-3) * f * lap(h_pow(1)))
-        el = c_of_d(fh_pow(1)) * c_of_d(h_pow(1))
-        out = out + SymbolExpr.term(xim_norm(-2), el.map_scalars(
-            lambda c: c * fh_pow(-4) * f * sc(-1)))
-        out = out + _xi_cliff(sc(2), lambda j: fh_pow(-3).derive_x(j), -3)
-        for mu in range(1, 7):
-            cd = c_of_d(_dfh(mu))
-            out = out + cxi.cliff_lmul(cd).scale(fh_pow(-3) * sc(2)).mul(
-                _st(_xim([(mu, 1)], -3), ScalarExpr.one()))
-        return out
+        return (_printed(-2, fh_pow(-2) * sc(-1, 4) * s_atom())
+                + _printed(-3, fh_pow(-2) * sc(2, 3), xi_quadratic(riem))
+                + _printed(-3, fh_pow(-4) * f_pow(2) * sc(-4), xi_h, xi_h)
+                + _printed(-3, fh_pow(-4) * f * sc(8), xi_h, xi_fh)
+                + _printed(-2, fh_pow(-4) * f * sc(-4) * grad_dot(h, fh))
+                + _printed(-3, sc(-4),
+                           xi_linear((f_pow(-2) * h_pow(-3)).derive_x), xi_h)
+                + _printed(-3, fh_pow(-3) * f * sc(-4), _xi_hess(h))
+                + _printed(-3, sc(8), xi_linear(fh_pow(-3).derive_x), xi_fh)
+                + _printed(-3, fh_pow(-3) * f * sc(8), _xi_hess(fh))  # as printed
+                + _printed(-2, lap(fh_pow(-2)))
+                + _printed(-3, fh_pow(-4) * f * sc(4), xi_h, cc)
+                + _printed(-3, fh_pow(-4) * sc(-4), xi_fh, cc)
+                + _printed(-3, fh_pow(-4) * sc(-1), cc, cc)
+                + SymbolExpr.term(xim_norm(-2),
+                                  (c_of_d(fh) * c_of_d(fh)).scale(fh_pow(-4) * sc(2)))
+                + _printed(-2, fh_pow(-3) * f * lap(h))
+                + SymbolExpr.term(xim_norm(-2), (c_of_d(fh) * c_of_d(h)).scale(
+                    fh_pow(-4) * f * sc(-1)))
+                + _printed(-3, sc(2), xi_linear(fh_pow(-3).derive_x), cc)
+                + _printed(-3, fh_pow(-3) * sc(2), _cliff_hessian_form()))
     raise ValueError(f"no printed inverse symbol at order {k}")
 
 
@@ -330,8 +250,8 @@ def printed_boundary_value(case: str) -> ScalarExpr:
 
 def forced_qinv4_correction() -> SymbolExpr:
     """Forced minus printed order -4 symbol: the spurious f factor."""
-    pref = (fh_pow(-3) - fh_pow(-3) * f_pow(1)) * sc(8)
-    return _second_deriv_line(pref, _ddfh, -3)
+    return _printed(-3, (fh_pow(-3) - fh_pow(-3) * f_pow(1)) * sc(8),
+                    _xi_hess(fh_pow(1)))
 
 
 def expected_sigma6_diff() -> SymbolExpr:
@@ -340,34 +260,25 @@ def expected_sigma6_diff() -> SymbolExpr:
     Eight composite classes; the last one (second-derivative Clifford
     content) is absent from the printed expansion altogether.
     """
-    f = f_pow(1)
-    out = SymbolExpr.zero()
-    # printed 44, forced 48
-    out = out + _xixi_scalar(fh_pow(-6) * f * sc(4), _dh, _dfh, -4)
-    # printed -42, forced -48
-    out = out + _xixi_scalar(fh_pow(-6) * sc(-6), _dfh, _dfh, -4)
-    # printed +2, forced -4
-    out = out + _second_deriv_line(
-        fh_pow(-2) * sc(-6),
-        lambda j, l: fh_pow(-2).derive_x(j).derive_x(l), -4)
-    # printed 14, forced 12
-    out = out + _xi_cliff(fh_pow(-6) * f * sc(-2), _dh, -4)
-    # printed -28, forced -24
-    out = out + _xi_cliff(fh_pow(-6) * sc(4), _dfh, -4)
-    # printed -4, forced -3
-    cdhf = c_of_d(fh_pow(1))
-    cxi = SymbolExpr.xi_covector()
-    piece = cxi.cliff_lmul(cdhf)
-    out = out + piece.mul(piece).scale(fh_pow(-6)).mul(
-        _st(xim_norm(-4), ScalarExpr.one()))
-    # printed -10, forced -12
-    out = out + _contracted_scalar(fh_pow(-6) * f * sc(-2), _dh, _dfh, -3)
-    # class missing from the printed expansion
-    for mu in range(1, 7):
-        cd = c_of_d(fh_pow(1).derive_x(mu))
-        out = out + cxi.cliff_lmul(cd).scale(fh_pow(-5) * sc(6)).mul(
-            _st(_xim([(mu, 1)], -4), ScalarExpr.one()))
-    return out
+    f, h, fh = f_pow(1), h_pow(1), fh_pow(1)
+    xi_h, xi_fh, cc = xi_linear(h.derive_x), xi_linear(fh.derive_x), _cdhf_cxi()
+    return (
+        # printed 44, forced 48
+        _printed(-4, fh_pow(-6) * f * sc(4), xi_h, xi_fh)
+        # printed -42, forced -48
+        + _printed(-4, fh_pow(-6) * sc(-6), xi_fh, xi_fh)
+        # printed +2, forced -4
+        + _printed(-4, fh_pow(-2) * sc(-6), _xi_hess(fh_pow(-2)))
+        # printed 14, forced 12
+        + _printed(-4, fh_pow(-6) * f * sc(-2), xi_h, cc)
+        # printed -28, forced -24
+        + _printed(-4, fh_pow(-6) * sc(4), xi_fh, cc)
+        # printed -4, forced -3
+        + _printed(-4, fh_pow(-6), cc, cc)
+        # printed -10, forced -12
+        + _printed(-3, fh_pow(-6) * f * sc(-2) * grad_dot(h, fh))
+        # class missing from the printed expansion
+        + _printed(-4, fh_pow(-5) * sc(6), _cliff_hessian_form()))
 
 
 def expected_density_diff() -> ScalarExpr:

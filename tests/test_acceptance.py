@@ -126,7 +126,7 @@ def test_criterion_3_route_agreement():
     from wres6.calculus import _route_direct, _route_reduced, invert_symbol
 
     q = interior_q()
-    par = invert_symbol(q, INTERIOR, depth=3)
+    par = invert_symbol(q, INTERIOR)
     assert _route_direct(par) == _route_reduced(q, par)
     # the public constructor asserts the same and returns the shared value
     s6 = qinv_square_sigma6()

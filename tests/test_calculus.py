@@ -167,7 +167,7 @@ def test_non_invertible_leading_symbol_rejected():
     bad = SymbolExpr.scalar_term(xim_norm(1), fh_pow(1) + sc(1)) \
         + SymbolExpr.scalar_term(XIM_ONE, sc(1))
     with pytest.raises(ValueError):
-        invert_symbol(bad, INTERIOR, depth=2)
+        invert_symbol(bad, INTERIOR)
 
 
 def test_b3_flat_rescaling_vanishes():
@@ -270,5 +270,5 @@ def test_specialization_coherence_numeric():
     after = map_symbol(interior_parametrix().b3)
     # before: substitute into Q, then invert
     q_sub = map_symbol(interior_q())
-    before = invert_symbol(q_sub, INTERIOR, depth=2).b3
+    before = invert_symbol(q_sub, INTERIOR).b3
     assert before == after

@@ -156,6 +156,18 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
 
 
+def test_unwritable_out_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("build_report ran for an unwritable --out")
+
+    monkeypatch.setattr(report_mod, "build_report", fail)
+    target = tmp_path / "missing" / "x.json"
+    assert main(["verify", "all", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert main(["verify", "all", "--out", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}")
+
+
 def test_dump_qinv2_at_boundary_exits_2(capsys):
     code = main(["dump", "symbols", "--operator", "Qinv2", "--context", "boundary"])
     assert code == 2

@@ -11,6 +11,7 @@ from wres6.scalars import (
     atom_str,
     dfunc,
     fh_pow,
+    riem,
     sc,
     wp,
 )
@@ -20,6 +21,8 @@ from wres6.symbols import (
     SymbolExpr,
     XIM_ONE,
     apply_context,
+    xi_linear,
+    xi_quadratic,
     xim_norm,
     xim_xi,
 )
@@ -282,3 +285,47 @@ def test_apply_context_leaves_no_connection_atom():
                  for a in c.atoms()}
         assert not {a for a in atoms if a[0] in CONNECTION_KINDS}
         assert (("wp",) in atoms) == ctx.is_boundary
+
+
+# ---------------------------------------------------------------------------
+# xi-forms
+
+
+def _random_vector(r):
+    """Six random scalars, some of them zero."""
+    return [sum((sc(r.randint(-3, 3)) * dfunc(r.choice("fh"), r.randint(1, 6))
+                 for _ in range(r.randint(0, 2))), ScalarExpr.zero())
+            for _ in range(6)]
+
+
+def test_quadratic_form_of_a_product_is_the_product_of_linear_forms():
+    r = random.Random(2024)
+    for _ in range(20):
+        a, b = _random_vector(r), _random_vector(r)
+        got = xi_quadratic(lambda j, l: a[j - 1] * b[l - 1])
+        assert got == xi_linear(lambda j: a[j - 1]).mul(xi_linear(lambda j: b[j - 1]))
+
+
+def test_xi_forms_with_zero_coefficients_are_empty():
+    assert xi_linear(lambda j: ScalarExpr.zero()).orders == {}
+    assert xi_quadratic(lambda j, l: ScalarExpr.zero()).orders == {}
+    assert xi_linear(lambda j: CliffordElement.zero()).orders == {}
+
+
+def test_xi_quadratic_of_riemann_is_the_index_expanded_form():
+    want = SymbolExpr.zero()
+    for a in range(1, 7):
+        for m in range(1, 7):
+            e = [0] * 6
+            e[a - 1] += 1
+            e[m - 1] += 1
+            want = want + SymbolExpr.scalar_term((tuple(e), 0), riem(a, m))
+    assert xi_quadratic(riem) == want
+    # R is symmetric, so each off-diagonal monomial carries twice its atom
+    assert xi_quadratic(riem).orders[2][((1, 1, 0, 0, 0, 0), 0)] == \
+        CliffordElement.identity(riem(1, 2) * sc(2))
+
+
+def test_xi_linear_of_generators_is_c_xi():
+    assert xi_linear(CliffordElement.generator) == SymbolExpr({1: {
+        xim_xi(j): CliffordElement.generator(j) for j in range(1, 7)}})
