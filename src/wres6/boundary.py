@@ -3,11 +3,13 @@
 On the boundary slice |xi'| = 1 every integrand is a rational function of
 xi_n with poles only at +-i and coefficients in the scalar ring (tensored
 with the Gaussian rationals), times a tangential monomial and a Clifford
-word.  ``XiRat`` implements that rational-function arithmetic exactly:
-sums and products kept as built and compared by value, d/dxi_n, the
-projection onto the principal part at +i (the content of the upper
-half-plane projection on rational symbols), and the closed contour
-integral around +i by the Cauchy derivative formula.
+word.  ``XiRat`` keeps such a function as its partial-fraction expansion
+over xi_n^k, (xi_n - i)^-k and (xi_n + i)^-k.  The expansion is unique, so
+equal values have equal terms, and each operation is a rule on the terms:
+d/dxi_n acts term by term, the projection onto the principal part at +i
+(the content of the upper half-plane projection on rational symbols) keeps
+the (xi_n - i)^-k terms, and the closed contour integral around +i reads
+the (xi_n - i)^-1 coefficient.
 
 The five boundary contributions are assembled from their definitions: the
 (r, l, j, k, alpha) data fixes which derivatives hit the projected factor
@@ -29,7 +31,6 @@ from .interior import sphere_moment
 from .scalars import (
     G_I,
     G_ONE,
-    G_ZERO,
     GaussRat,
     ScalarExpr,
     _accumulate,
@@ -51,124 +52,109 @@ class DecayError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers (coefficients are ScalarExpr, variable is xi_n)
-
-
-def _poly_trim(cs: list[ScalarExpr]) -> tuple[ScalarExpr, ...]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for k in range(n):
-        a = p[k] if k < len(p) else ScalarExpr.zero()
-        b = q[k] if k < len(q) else ScalarExpr.zero()
-        out.append(a + b)
-    return _poly_trim(out)
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [ScalarExpr.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _poly_trim(out)
-
-
-def _poly_scale(p, s: ScalarExpr):
-    return _poly_trim([c * s for c in p])
-
-
-def _poly_eval(p, z: GaussRat) -> ScalarExpr:
-    out = ScalarExpr.zero()
-    zk = G_ONE
-    for c in p:
-        out = out + c * zk
-        zk = zk * z
-    return out
-
-
-def _linear_power(r: GaussRat, k: int):
-    """(x - r)^k as an ascending coefficient tuple over ScalarExpr."""
-    cs = []
-    for j in range(k + 1):
-        coeff = GaussRat(comb(k, j)) * (-r) ** (k - j)
-        cs.append(ScalarExpr.const(coeff))
-    return _poly_trim(cs)
-
-
-_PLUS_I = G_I
-_MINUS_I = -G_I
-
-
-# ---------------------------------------------------------------------------
 # XiRat
+
+# A basis element (s, k) is xi_n^k for s = 0 (k >= 0) and (xi_n - s i)^-k
+# for s = +1 or -1 (k >= 1).
+_UNIT = (0, 0)
+_HALF_OVER_I = GaussRat(0, Fraction(-1, 2))     # 1/(2i)
+
+
+def _pole(s: int, k: int) -> tuple:
+    return (s, k) if k else _UNIT
+
+
+@lru_cache(maxsize=None)
+def _basis_mul(u: tuple, v: tuple) -> tuple:
+    """The product of two basis elements as ((basis, GaussRat), ...).
+
+    Uses xi (xi - p)^-k = (xi - p)^-(k-1) + p (xi - p)^-k and
+    1/((xi - i)(xi + i)) = (1/2i) [1/(xi - i) - 1/(xi + i)].
+    """
+    if u == _UNIT or v == _UNIT:
+        return ((v if u == _UNIT else u, G_ONE),)
+    if u[0] == v[0]:
+        return (((u[0], u[1] + v[1]), G_ONE),)
+    if u[0] and v[0]:
+        (_, a), (_, b) = sorted((u, v), reverse=True)   # (xi-i)^-a (xi+i)^-b
+        parts = ((_HALF_OVER_I, (1, a), _pole(-1, b - 1)),
+                 (-_HALF_OVER_I, _pole(1, a - 1), (-1, b)))
+    else:
+        (_, m), (t, k) = sorted((u, v), key=lambda e: e[0] != 0)  # xi^m (xi - t i)^-k
+        parts = ((G_ONE, (0, m - 1), _pole(t, k - 1)),
+                 (GaussRat(0, t), (0, m - 1), (t, k)))
+    out: dict = {}
+    for c, x, y in parts:
+        for w, d in _basis_mul(x, y):
+            _accumulate(out, w, c * d)
+    return tuple(out.items())
 
 
 class XiRat:
-    """num(xi_n) / ((xi_n - i)^a (xi_n + i)^b), coefficients in ScalarExpr."""
+    """A rational function of xi_n with poles only at +-i, kept as its
+    partial-fraction expansion ``terms: {(s, k): ScalarExpr}`` (see
+    ``_basis_mul`` for the basis); zero terms are dropped."""
 
-    __slots__ = ("num", "a", "b")
+    __slots__ = ("terms",)
 
-    def __init__(self, num, a: int = 0, b: int = 0):
-        if a < 0 or b < 0:
-            raise ValueError("pole orders must be nonnegative")
-        num = _poly_trim([_as_scalar(c) for c in num])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for key, c in terms.items():
+                if c:
+                    clean[key] = c
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("XiRat is immutable")
 
     @staticmethod
     def zero() -> "XiRat":
-        return XiRat((), 0, 0)
+        return XiRat({})
 
     @staticmethod
     def const(e) -> "XiRat":
-        return XiRat((_as_scalar(e),), 0, 0)
+        return XiRat({_UNIT: _as_scalar(e)})
 
     @staticmethod
     def xin(power: int = 1) -> "XiRat":
-        return XiRat([ScalarExpr.zero()] * power + [ScalarExpr.one()], 0, 0)
+        return XiRat({(0, power): ScalarExpr.one()})
+
+    @staticmethod
+    def ratio(num, a: int = 0, b: int = 0) -> "XiRat":
+        """num(xi_n) / ((xi_n - i)^a (xi_n + i)^b), num ascending in xi_n."""
+        if a < 0 or b < 0:
+            raise ValueError("pole orders must be nonnegative")
+        poly = XiRat({(0, k): _as_scalar(c) for k, c in enumerate(num)})
+        one = ScalarExpr.one()
+        return poly * XiRat({_pole(1, a): one}) * XiRat({_pole(-1, b): one})
 
     @staticmethod
     def inv_norm(p: int) -> "XiRat":
         """(1 + xi_n^2)^(-p) for p >= 0."""
-        return XiRat((ScalarExpr.one(),), p, p)
+        return XiRat.ratio((ScalarExpr.one(),), p, p)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.terms
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, XiRat):
             return NotImplemented
-        return not (self - other).num
+        return self.terms == other.terms
 
     def __add__(self, other: "XiRat") -> "XiRat":
         if not isinstance(other, XiRat):
             return NotImplemented
-        a = max(self.a, other.a)
-        b = max(self.b, other.b)
-        p = _poly_mul(self.num, _poly_mul(_linear_power(_PLUS_I, a - self.a),
-                                          _linear_power(_MINUS_I, b - self.b)))
-        q = _poly_mul(other.num, _poly_mul(_linear_power(_PLUS_I, a - other.a),
-                                           _linear_power(_MINUS_I, b - other.b)))
-        return XiRat(_poly_add(p, q), a, b)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return XiRat(out)
 
     def __neg__(self):
-        return XiRat(tuple(-c for c in self.num), self.a, self.b)
+        return XiRat({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -176,72 +162,42 @@ class XiRat:
     def __mul__(self, other: "XiRat") -> "XiRat":
         if not isinstance(other, XiRat):
             return NotImplemented
-        return XiRat(_poly_mul(self.num, other.num), self.a + other.a, self.b + other.b)
+        out: dict = {}
+        for u, c in self.terms.items():
+            for v, d in other.terms.items():
+                cd = c * d
+                for w, g in _basis_mul(u, v):
+                    _accumulate(out, w, cd * g)
+        return XiRat(out)
 
     def scale(self, e) -> "XiRat":
-        return XiRat(_poly_scale(self.num, _as_scalar(e)), self.a, self.b)
+        e = _as_scalar(e)
+        return XiRat({key: c * e for key, c in self.terms.items()})
 
     def derive(self) -> "XiRat":
-        """d/dxi_n by the quotient rule; only a pole already present rises."""
-        n = list(self.num)
-        dnum = _poly_trim([n[k] * GaussRat(k) for k in range(1, len(n))])
-        # d/dx [N / (Lm^a Lp^b)] with Lm = x - i, Lp = x + i is
-        #   [N' Lm Lp - a N Lp - b N Lm] / (Lm^(a+1) Lp^(b+1));
-        # a factor whose exponent is 0 cancels, so it is left out
-        lin_m = _linear_power(_PLUS_I, 1 if self.a else 0)
-        lin_p = _linear_power(_MINUS_I, 1 if self.b else 0)
-        term1 = _poly_mul(dnum, _poly_mul(lin_m, lin_p))
-        corr = _poly_add(_poly_scale(lin_p, ScalarExpr.const(GaussRat(self.a))),
-                         _poly_scale(lin_m, ScalarExpr.const(GaussRat(self.b))))
-        term2 = _poly_mul(self.num, corr)
-        return XiRat(_poly_add(term1, tuple(-c for c in term2)),
-                     self.a + (self.a > 0), self.b + (self.b > 0))
+        """d/dxi_n, term by term."""
+        out = {}
+        for (s, k), c in self.terms.items():
+            if s:
+                out[(s, k + 1)] = c * -k
+            elif k:
+                out[(0, k - 1)] = c * k
+        return XiRat(out)
 
     # -- the upper-half-plane data ------------------------------------------
 
-    def _upper_taylor(self, count: int):
-        """Taylor coefficients of num(i+t)/(t+2i)^b in t, first ``count``."""
-        # num(i + t)
-        shifted = [ScalarExpr.zero()] * len(self.num)
-        for k, c in enumerate(self.num):
-            for j in range(k + 1):
-                coeff = GaussRat(comb(k, j)) * _PLUS_I ** (k - j)
-                shifted[j] = shifted[j] + c * coeff
-        # (t + 2i)^(-b) expanded at t = 0
-        out = []
-        for m in range(count):
-            acc = ScalarExpr.zero()
-            for j in range(m + 1):
-                if j >= len(shifted):
-                    break
-                k = m - j
-                coeff = (GaussRat((-1) ** k * comb(self.b + k - 1, k))
-                         * (GaussRat(2) * _PLUS_I) ** (-self.b - k)) if self.b else \
-                    (G_ONE if k == 0 else G_ZERO)
-                acc = acc + shifted[j] * coeff
-            out.append(acc)
-        return out
-
     def pi_plus(self) -> "XiRat":
         """Principal part at xi_n = +i (poles at -i and polynomials die)."""
-        if self.a == 0:
-            return XiRat.zero()
-        coeffs = self._upper_taylor(self.a)
-        num = ()
-        for m, c in enumerate(coeffs):
-            num = _poly_add(num, _poly_scale(_linear_power(_PLUS_I, m), c))
-        return XiRat(num, self.a, 0)
+        return XiRat({key: c for key, c in self.terms.items() if key[0] == 1})
 
     def pi_minus(self) -> "XiRat":
-        return self - self.pi_plus()
+        return XiRat({key: c for key, c in self.terms.items() if key[0] != 1})
 
     def residue_at_i(self) -> ScalarExpr:
-        if self.a == 0:
-            return ScalarExpr.zero()
-        return self._upper_taylor(self.a)[self.a - 1]
+        return self.terms.get((1, 1), ScalarExpr.zero())
 
     def decays(self) -> bool:
-        return len(self.num) - 1 < self.a + self.b if self.num else True
+        return all(s for s, _ in self.terms)
 
     def contour_integral(self) -> ScalarExpr:
         """Closed-contour integral around +i: 2 pi i x residue.
@@ -258,36 +214,31 @@ class XiRat:
         """Independent route: (2 pi i/(a-1)!) d^(a-1)/dxi^(a-1)[(xi-i)^a r] at i."""
         if not self.decays():
             raise DecayError("integrand does not decay at infinity")
-        if self.a == 0:
+        a = max((k for s, k in self.terms if s == 1), default=0)
+        if a == 0:
             return ScalarExpr.zero()
-        g = XiRat(self.num, 0, self.b)
-        for _ in range(self.a - 1):
+        g = self * XiRat({(0, j): ScalarExpr.const(comb(a, j) * (-G_I) ** (a - j))
+                          for j in range(a + 1)})
+        for _ in range(a - 1):
             g = g.derive()
-        val = _poly_eval(g.num, _PLUS_I)
-        denom_val = (GaussRat(2) * G_I) ** g.b
-        scale = G_ONE / denom_val / GaussRat(factorial(self.a - 1))
-        return val * ScalarExpr.const(scale * GaussRat(2) * G_I) * pi_atom()
-
-    def evaluate_complex(self, assign, z: complex) -> complex:
-        num = sum(c.evaluate_complex(assign) * z ** k for k, c in enumerate(self.num))
-        return num / ((z - 1j) ** self.a * (z + 1j) ** self.b)
+        # (xi - i)^a r has no pole at +i: xi^k -> i^k, (xi + i)^-k -> (2i)^-k
+        val = ScalarExpr.zero()
+        for (s, k), c in g.terms.items():
+            val = val + c * (G_I ** k if s == 0 else GaussRat(0, 2) ** -k)
+        scale = GaussRat(2) * G_I / GaussRat(factorial(a - 1))
+        return val * ScalarExpr.const(scale) * pi_atom()
 
     def __str__(self):
-        if not self.num:
+        if not self.terms:
             return "0"
-        terms = []
-        for k, c in enumerate(self.num):
-            if c.is_zero():
-                continue
-            mono = "" if k == 0 else ("xin" if k == 1 else f"xin^{k}")
-            terms.append(f"({c})" + (f"*{mono}" if mono else ""))
-        num = " + ".join(terms)
-        den = []
-        if self.a:
-            den.append(f"(xin-i)^{self.a}" if self.a > 1 else "(xin-i)")
-        if self.b:
-            den.append(f"(xin+i)^{self.b}" if self.b > 1 else "(xin+i)")
-        return f"[{num}]" + (f" / ({'*'.join(den)})" if den else "")
+        parts = []
+        for (s, k), c in sorted(self.terms.items()):
+            if s:
+                base = f"(xin{'-' if s > 0 else '+'}i)^-{k}"
+            else:
+                base = "1" if k == 0 else ("xin" if k == 1 else f"xin^{k}")
+            parts.append(f"({c})*{base}")
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"<XiRat {self}>"
@@ -326,11 +277,10 @@ class BoundaryExpr:
                 xp = tuple(exps[:N_COORD - 1])
                 n_pow = exps[N_COORD - 1]
                 if p >= 0:
-                    base = XiRat.xin(n_pow) * XiRat(
-                        _poly_mul_pow((ScalarExpr.one(), ScalarExpr.zero(),
-                                       ScalarExpr.one()), p), 0, 0)
+                    norm = XiRat({(0, 2 * k): sc(comb(p, k)) for k in range(p + 1)})
                 else:
-                    base = XiRat.xin(n_pow) * XiRat.inv_norm(-p)
+                    norm = XiRat.inv_norm(-p)
+                base = XiRat.xin(n_pow) * norm
                 for w, coeff in el.terms.items():
                     _accumulate(out, (xp, w), base.scale(coeff))
         return BoundaryExpr(out)
@@ -399,13 +349,6 @@ class BoundaryExpr:
                             for j, e in enumerate(xp) if e) or "1"
             lines.append(f"xiprime={mono} | cliff={word_str(w)} | {r}")
         return "\n".join(lines)
-
-
-def _poly_mul_pow(base, p: int):
-    out = (ScalarExpr.one(),)
-    for _ in range(p):
-        out = _poly_mul(out, base)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -144,13 +144,8 @@ class Parametrix:
     def b4(self) -> SymbolExpr:
         return self.b4_recursion + self.curvature_import
 
-    def recursion_symbol(self, depth: int = 3) -> SymbolExpr:
-        out = self.b2
-        if depth >= 2:
-            out = out + self.b3
-        if depth >= 3:
-            out = out + self.b4_recursion
-        return out
+    def recursion_symbol(self) -> SymbolExpr:
+        return self.b2 + self.b3 + self.b4_recursion
 
     def full_symbol(self) -> SymbolExpr:
         return self.b2 + self.b3 + self.b4

@@ -65,7 +65,10 @@ def parse_specialization(text: str):
         if not all(re.fullmatch(r"[+-]?[0-9]+", e) for e in exps):
             raise CliError(
                 f"unsupported specialization {text!r}: exponents must be integers")
-        p, q = map(int, exps)
+        try:
+            p, q = map(int, exps)
+        except ValueError as exc:   # more digits than int() converts
+            raise CliError(f"unsupported specialization {text!r}: {exc}")
         return _substitution({"f": u_pow(p), "h": u_pow(q)})
     raise CliError(f"unsupported specialization {text!r}")
 
@@ -81,7 +84,7 @@ def load_ledger(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: bad UTF-8 or JSON
         raise CliError(f"malformed ledger file {path}: {exc}")
     if not isinstance(data, list):
         raise CliError(f"malformed ledger file {path}: expected a JSON list")

@@ -118,9 +118,6 @@ class GaussRat:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
@@ -398,15 +395,6 @@ class ScalarExpr:
             for atom, exp in mono:
                 val = val * as_gauss(assign[atom]) ** exp
             total = total + val
-        return total
-
-    def evaluate_complex(self, assign: Mapping[tuple, complex]) -> complex:
-        total = 0j
-        for mono, coeff in self.terms.items():
-            val = coeff.to_complex()
-            for atom, exp in mono:
-                val *= complex(assign[atom]) ** exp
-            total += val
         return total
 
     def atoms(self) -> set:

@@ -114,6 +114,10 @@ def test_specialize_rational_exponent_rejected(capsys):
         code = main(["verify", "interior", "--specialize", spec])
         assert code == 2
         assert "exponents must be integers" in capsys.readouterr().err
+    # more digits than int() converts from a string
+    code = main(["verify", "interior", "--specialize", "f=u^" + "9" * 5000 + ",h=u^1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unsupported specialization")
 
 
 def test_specialize_unknown_text_rejected(capsys):
@@ -221,6 +225,12 @@ def test_malformed_ledger_exits_2(tmp_path, capsys):
     code = main(["verify", "interior", "--ledger", str(bad)])
     assert code == 2
     assert "duplicate location 'interior/term-08'" in capsys.readouterr().err
+    # not UTF-8, and an integer with more digits than int() converts
+    for raw in (b"[\xff]", b"[" + b"9" * 5000 + b"]"):
+        bad.write_bytes(raw)
+        code = main(["verify", "interior", "--ledger", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: malformed ledger file")
 
 
 def test_empty_ledger_turns_diffs_into_failures(tmp_path, capsys):

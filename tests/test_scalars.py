@@ -22,6 +22,8 @@ from wres6.scalars import (
     wp,
 )
 
+from oracles import to_complex
+
 rng = random.Random(20240811)
 
 
@@ -287,7 +289,7 @@ def _jet_assign(jets, x):
 
 def _numeric(e, jets, x):
     assign = _jet_assign(jets, x)
-    return complex(e.evaluate({k: v for k, v in assign.items()}).to_complex())
+    return to_complex(e.evaluate({k: v for k, v in assign.items()}))
 
 
 def test_derive_matches_finite_differences():
