@@ -224,6 +224,8 @@ class XiRat:
         # (xi - i)^a r has no pole at +i: xi^k -> i^k, (xi + i)^-k -> (2i)^-k
         val = ScalarExpr.zero()
         for (s, k), c in g.terms.items():
+            if s == 1:
+                raise ValueError("(xi_n - i)^a r keeps a pole at +i")
             val = val + c * (G_I ** k if s == 0 else GaussRat(0, 2) ** -k)
         scale = GaussRat(2) * G_I / GaussRat(factorial(a - 1))
         return val * ScalarExpr.const(scale) * pi_atom()

@@ -84,7 +84,8 @@ def load_ledger(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:   # ValueError: bad UTF-8 or JSON
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8 or JSON; RecursionError: nesting too deep
         raise CliError(f"malformed ledger file {path}: {exc}")
     if not isinstance(data, list):
         raise CliError(f"malformed ledger file {path}: expected a JSON list")

@@ -34,13 +34,20 @@ def evaluate_xirat(rat, assign, z: complex) -> complex:
     return total
 
 
-def contour_quadrature(rat, assign, nodes=2048, radius=0.5) -> complex:
-    """Trapezoidal rule for the integral of ``rat`` around the circle
-    |xi_n - i| = radius, which encloses the pole at +i only."""
+def ratio_at(num, a, b, z: complex) -> complex:
+    """sum(num[k] z^k) / ((z - i)^a (z + i)^b) for constant coefficients,
+    evaluated from the inputs of ``XiRat.ratio`` and not from its terms."""
+    top = sum(evaluate_complex(c, {}) * z ** k for k, c in enumerate(num))
+    return top / ((z - 1j) ** a * (z + 1j) ** b)
+
+
+def contour_quadrature(f, nodes=2048, radius=0.5) -> complex:
+    """Trapezoidal rule for the integral of ``f(z)`` around the circle
+    |z - i| = radius, which encloses the pole at +i only."""
     total = 0j
     for k in range(nodes):
         th = 2 * math.pi * k / nodes
         z = 1j + radius * cmath.exp(1j * th)
         dz = radius * 1j * cmath.exp(1j * th) * 2 * math.pi / nodes
-        total += evaluate_xirat(rat, assign, z) * dz
+        total += f(z) * dz
     return total

@@ -225,8 +225,9 @@ def test_malformed_ledger_exits_2(tmp_path, capsys):
     code = main(["verify", "interior", "--ledger", str(bad)])
     assert code == 2
     assert "duplicate location 'interior/term-08'" in capsys.readouterr().err
-    # not UTF-8, and an integer with more digits than int() converts
-    for raw in (b"[\xff]", b"[" + b"9" * 5000 + b"]"):
+    # not UTF-8, an integer with more digits than int() converts, and
+    # nesting deeper than the JSON decoder recurses
+    for raw in (b"[\xff]", b"[" + b"9" * 5000 + b"]", b"[" * 100000):
         bad.write_bytes(raw)
         code = main(["verify", "interior", "--ledger", str(bad)])
         assert code == 2
