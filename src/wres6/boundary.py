@@ -9,7 +9,9 @@ equal values have equal terms, and each operation is a rule on the terms:
 d/dxi_n acts term by term, the projection onto the principal part at +i
 (the content of the upper half-plane projection on rational symbols) keeps
 the (xi_n - i)^-k terms, and the closed contour integral around +i reads
-the (xi_n - i)^-1 coefficient.
+the (xi_n - i)^-1 coefficient.  ``XiRat`` and ``BoundaryExpr`` are
+``scalars.SparseSum``s, which hold their storage and their linear
+structure; this module adds their products and the xi_n calculus.
 
 The five boundary contributions are assembled from their definitions: the
 (r, l, j, k, alpha) data fixes which derivatives hit the projected factor
@@ -33,6 +35,7 @@ from .scalars import (
     G_ONE,
     GaussRat,
     ScalarExpr,
+    SparseSum,
     _accumulate,
     _as_scalar,
     omega4,
@@ -90,27 +93,12 @@ def _basis_mul(u: tuple, v: tuple) -> tuple:
     return tuple(out.items())
 
 
-class XiRat:
+class XiRat(SparseSum):
     """A rational function of xi_n with poles only at +-i, kept as its
     partial-fraction expansion ``terms: {(s, k): ScalarExpr}`` (see
-    ``_basis_mul`` for the basis); zero terms are dropped."""
+    ``_basis_mul`` for the basis)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    clean[key] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiRat is immutable")
-
-    @staticmethod
-    def zero() -> "XiRat":
-        return XiRat({})
+    __slots__ = ()
 
     @staticmethod
     def const(e) -> "XiRat":
@@ -133,31 +121,6 @@ class XiRat:
     def inv_norm(p: int) -> "XiRat":
         """(1 + xi_n^2)^(-p) for p >= 0."""
         return XiRat.ratio((ScalarExpr.one(),), p, p)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, XiRat):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "XiRat") -> "XiRat":
-        if not isinstance(other, XiRat):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return XiRat(out)
-
-    def __neg__(self):
-        return XiRat({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "XiRat") -> "XiRat":
         if not isinstance(other, XiRat):
@@ -189,9 +152,6 @@ class XiRat:
     def pi_plus(self) -> "XiRat":
         """Principal part at xi_n = +i (poles at -i and polynomials die)."""
         return XiRat({key: c for key, c in self.terms.items() if key[0] == 1})
-
-    def pi_minus(self) -> "XiRat":
-        return XiRat({key: c for key, c in self.terms.items() if key[0] != 1})
 
     def residue_at_i(self) -> ScalarExpr:
         return self.terms.get((1, 1), ScalarExpr.zero())
@@ -242,33 +202,16 @@ class XiRat:
             parts.append(f"({c})*{base}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"<XiRat {self}>"
-
 
 # ---------------------------------------------------------------------------
 # BoundaryExpr: tangential monomial x Clifford word -> XiRat
 
 
-class BoundaryExpr:
-    """Symbol content on the slice |xi'| = 1 with free xi_n."""
+class BoundaryExpr(SparseSum):
+    """Symbol content on the slice |xi'| = 1 with free xi_n:
+    ``terms: {(tangential xi exponents, Clifford word): XiRat}``."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, rat in terms.items():
-                if rat:
-                    clean[key] = rat
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundaryExpr is immutable")
-
-    @staticmethod
-    def zero() -> "BoundaryExpr":
-        return BoundaryExpr({})
+    __slots__ = ()
 
     @staticmethod
     def from_symbol(S: SymbolExpr) -> "BoundaryExpr":
@@ -286,26 +229,6 @@ class BoundaryExpr:
                 for w, coeff in el.terms.items():
                     _accumulate(out, (xp, w), base.scale(coeff))
         return BoundaryExpr(out)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, rat in other.terms.items():
-            _accumulate(out, key, rat)
-        return BoundaryExpr(out)
-
-    def __neg__(self):
-        return BoundaryExpr({k: -r for k, r in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def mul(self, other: "BoundaryExpr") -> "BoundaryExpr":
         from .clifford import _merge_words
@@ -361,16 +284,6 @@ class BoundaryExpr:
 def boundary_parametrix():
     q = apply_context(build_q_symbols(), BOUNDARY)
     return invert_symbol(q, BOUNDARY)
-
-
-def boundary_sigma(k: int) -> BoundaryExpr:
-    """sigma_k of Q^-1 at the boundary point restricted to |xi'| = 1."""
-    par = boundary_parametrix()
-    if k == -2:
-        return BoundaryExpr.from_symbol(par.b2)
-    if k == -3:
-        return BoundaryExpr.from_symbol(par.b3)
-    raise ValueError("boundary symbols are computed at orders -2 and -3 only")
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,6 @@ class Parametrix:
     def b4(self) -> SymbolExpr:
         return self.b4_recursion + self.curvature_import
 
-    def recursion_symbol(self) -> SymbolExpr:
-        return self.b2 + self.b3 + self.b4_recursion
-
     def full_symbol(self) -> SymbolExpr:
         return self.b2 + self.b3 + self.b4
 

@@ -27,6 +27,10 @@ from . import report as report_mod
 from .scalars import ScalarExpr, f_pow, u_pow
 
 USAGE_ERROR = 2
+# the largest --specialize exponent, in digits, whose report still prints:
+# its integers grow to about twice this length, and CPython refuses to turn
+# an int of more than 4,300 digits into a string
+MAX_EXPONENT_DIGITS = 2000
 
 
 class CliError(Exception):
@@ -65,10 +69,10 @@ def parse_specialization(text: str):
         if not all(re.fullmatch(r"[+-]?[0-9]+", e) for e in exps):
             raise CliError(
                 f"unsupported specialization {text!r}: exponents must be integers")
-        try:
-            p, q = map(int, exps)
-        except ValueError as exc:   # more digits than int() converts
-            raise CliError(f"unsupported specialization {text!r}: {exc}")
+        if any(len(e.lstrip("+-")) > MAX_EXPONENT_DIGITS for e in exps):
+            raise CliError(f"unsupported specialization {text!r}: exponents "
+                           f"have at most {MAX_EXPONENT_DIGITS} digits")
+        p, q = map(int, exps)
         return _substitution({"f": u_pow(p), "h": u_pow(q)})
     raise CliError(f"unsupported specialization {text!r}")
 

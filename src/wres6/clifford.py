@@ -6,6 +6,9 @@ Words are strictly increasing index tuples; the empty word is the identity.
 The spinor trace sends the identity to 2^(6/2) = 8 and every nonempty
 canonical word to 0.
 
+``CliffordElement`` is a ``scalars.SparseSum`` (word -> ScalarExpr), which
+holds its storage and its linear structure; this module adds the product.
+
 ``matrix_oracle`` returns six concrete 8x8 matrices over exact Gaussian
 rationals satisfying the same relations; tests use it as an independent
 check of products and traces.
@@ -13,9 +16,9 @@ check of products and traces.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .scalars import GaussRat, ScalarExpr, _accumulate, _as_scalar
+from .scalars import GaussRat, ScalarExpr, SparseSum, _accumulate, _as_scalar
 
 TRACE_ID = 8  # 2^(n/2) with n = 6, fixed for this artifact
 
@@ -39,26 +42,10 @@ def _merge_words(w1: tuple, w2: tuple) -> tuple[int, tuple]:
     return sign, tuple(out)
 
 
-class CliffordElement:
+class CliffordElement(SparseSum):
     """Canonical-form element: map from word to ScalarExpr coefficient."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple, ScalarExpr] | None = None):
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                coeff = _as_scalar(coeff)
-                if coeff:
-                    clean[word] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffordElement is immutable")
-
-    @staticmethod
-    def zero() -> "CliffordElement":
-        return _C_ZERO
+    __slots__ = ()
 
     @staticmethod
     def identity(coeff=1) -> "CliffordElement":
@@ -82,20 +69,6 @@ class CliffordElement:
         """c(v) = sum_j v_j c_j for a covector with given components."""
         return CliffordElement({(j,): components[j - 1] for j in range(1, 7)})
 
-    def __add__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return CliffordElement(out)
-
-    def __neg__(self):
-        return CliffordElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, s) -> "CliffordElement":
         s = _as_scalar(s)
         return CliffordElement({w: c * s for w, c in self.terms.items()})
@@ -111,16 +84,8 @@ class CliffordElement:
                 _accumulate(out, w, -c if sign < 0 else c)
         return CliffordElement(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def trace(self) -> ScalarExpr:
         """Spinor trace: tr(id) = 8, nonempty canonical words trace to 0."""
@@ -143,12 +108,6 @@ class CliffordElement:
             wtxt = word_str(w)
             parts.append(f"({c})" + ("" if not w else "*" + wtxt))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<CliffordElement {self}>"
-
-
-_C_ZERO = CliffordElement({})
 
 
 def c_of_d(u: ScalarExpr) -> CliffordElement:

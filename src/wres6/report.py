@@ -115,13 +115,6 @@ def to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def from_json(text: str) -> dict:
-    report = json.loads(text)
-    if report.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported report schema {report.get('schema')!r}")
-    return report
-
-
 def to_text(report: dict) -> str:
     lines = [f"schema: {report['schema']}",
              f"mode: {report['mode']}",

@@ -16,6 +16,10 @@ Gaussian-rational coefficients.  A monomial is a multiset of atoms:
 
 Arithmetic is exact; no floating point is ever produced here.  All values are
 immutable after construction, so expressions are safe to share freely.
+
+``SparseSum`` holds the storage and the linear structure (an immutable
+``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) of ``ScalarExpr``
+and of the Clifford and boundary containers built on it.
 """
 
 from __future__ import annotations
@@ -225,29 +229,95 @@ class DerivativeOrderError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# ScalarExpr
+# Sparse sums
 
 
-class ScalarExpr:
-    """Canonical sum of monomials over the atom alphabet.
+def _accumulate(out: dict, key, value) -> None:
+    """Add value to out[key] in place, dropping the entry when it cancels.
 
-    ``terms`` maps a monomial (sorted tuple of (atom, exponent) pairs) to its
-    nonzero GaussRat coefficient.  Construction yields the canonical form;
-    instances are treated as immutable.
+    The one sparse-sum step of every container: values are GaussRat,
+    ScalarExpr, CliffordElement or XiRat, anything with ``+`` whose zero is
+    falsy.
+    """
+    acc = out.get(key)
+    if acc is None:
+        out[key] = value
+        return
+    acc = acc + value
+    if acc:
+        out[key] = acc
+    else:
+        del out[key]
+
+
+class SparseSum:
+    """An immutable sum ``terms: {key: nonzero value}``.
+
+    The storage and the linear structure of ``ScalarExpr``,
+    ``CliffordElement``, ``XiRat`` and ``BoundaryExpr``: construction drops
+    falsy values, so equal sums have equal dicts and ``==`` is a dict
+    compare.  Subclasses add their products and their printing.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, GaussRat] | None = None):
+    def __init__(self, terms: Mapping | None = None):
         clean = {}
         if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[mono] = coeff
+            for key, value in terms.items():
+                if value:
+                    clean[key] = value
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ScalarExpr is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            _accumulate(out, key, value)
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({key: -value for key, value in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
+
+
+# ---------------------------------------------------------------------------
+# ScalarExpr
+
+
+class ScalarExpr(SparseSum):
+    """Canonical sum of monomials over the atom alphabet.
+
+    ``terms`` maps a monomial (sorted tuple of (atom, exponent) pairs) to its
+    nonzero GaussRat coefficient.  A number equals, and hashes like, its
+    constant.
+    """
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -287,12 +357,6 @@ class ScalarExpr:
         return ScalarExpr(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ScalarExpr({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_scalar(other))
 
     def __rsub__(self, other):
         return _as_scalar(other) + (-self)
@@ -349,12 +413,6 @@ class ScalarExpr:
         if len(self.terms) == 1 and () in self.terms:
             return hash(self.terms[()])
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- differentiation ---------------------------------------------------
 
@@ -423,9 +481,6 @@ class ScalarExpr:
                 text += " + " + p
         return text
 
-    def __repr__(self):
-        return f"<ScalarExpr {self}>"
-
 
 def _as_scalar(x) -> ScalarExpr:
     if isinstance(x, ScalarExpr):
@@ -451,24 +506,6 @@ def _validate_atom(atom, exp):
         raise ValueError("R indices must be sorted")
     if kind == "om" and atom[2] >= atom[3]:
         raise ValueError("om atom requires s < t")
-
-
-def _accumulate(out: dict, key, value) -> None:
-    """Add value to out[key] in place, dropping the entry when it cancels.
-
-    The one sparse-sum step of every container: values are GaussRat,
-    ScalarExpr, CliffordElement or XiRat, anything with ``+`` whose zero is
-    falsy.
-    """
-    acc = out.get(key)
-    if acc is None:
-        out[key] = value
-        return
-    acc = acc + value
-    if acc:
-        out[key] = acc
-    else:
-        del out[key]
 
 
 def _rewrite_atoms(e: ScalarExpr,

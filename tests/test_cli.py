@@ -68,7 +68,7 @@ def test_reports_are_byte_identical(capsys):
 
 def test_report_round_trip(capsys):
     _, out = run_cli(["verify", "interior", "--format", "json"], capsys)
-    rep = report_mod.from_json(out)
+    rep = json.loads(out)
     assert report_mod.to_json(rep) == out
 
 
@@ -108,16 +108,30 @@ def test_specialize_powers_runs_end_to_end(capsys):
     assert rep["status"] == "pass"
 
 
-def test_specialize_rational_exponent_rejected(capsys):
+def test_specialize_rational_exponent_rejected(capsys, monkeypatch):
     # int() alone would accept the digit separator and the Arabic-Indic one
     for spec in ("f=u^-7/2,h=u^1", "f=u^1_0,h=u^1", "f=u^\u0661,h=u^1"):
         code = main(["verify", "interior", "--specialize", spec])
         assert code == 2
         assert "exponents must be integers" in capsys.readouterr().err
-    # more digits than int() converts from a string
-    code = main(["verify", "interior", "--specialize", "f=u^" + "9" * 5000 + ",h=u^1"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: unsupported specialization")
+    # the report of a 2,000-digit exponent still prints ...
+    code, out = run_cli(["verify", "interior", "--specialize",
+                         "f=u^" + "9" * 2000 + ",h=u^1", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+    # ... and a longer one is refused before any work
+    def fail(*args, **kwargs):
+        raise AssertionError("build_report ran for an oversized exponent")
+
+    monkeypatch.setattr(report_mod, "build_report", fail)
+    for digits in (2001, 5000):   # 5,000: more than int() converts
+        for spec in ("f=u^" + "9" * digits + ",h=u^1",
+                     "f=u^1,h=u^-" + "9" * digits):
+            code = main(["verify", "interior", "--specialize", spec])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                "error: unsupported specialization")
 
 
 def test_specialize_unknown_text_rejected(capsys):

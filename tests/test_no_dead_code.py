@@ -1,0 +1,61 @@
+"""The package holds only what the package uses: every function, method and
+class of ``src/wres6`` is named somewhere in ``src/wres6`` outside its own
+definition line, apart from the allow-listed names below."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wres6"
+
+# name -> why it stays although no package module uses it
+ALLOWED = {
+    "phi_total": "benchmark span target (perfbench/child.py SPAN_TARGETS)",
+    "contour_integral_cauchy": "test oracle, to move into tests/oracles.py",
+    "gamma_moment": "test oracle, to move into tests/oracles.py",
+    "element_to_matrix": "test oracle, to move into tests/oracles.py",
+    "mat_trace": "test oracle, to move into tests/oracles.py",
+    "build_fdh_symbols": "test oracle, to move into tests/oracles.py",
+    "printed_qinv_order": "printed data that is still to get a verdict",
+    "forced_qinv4_correction": "printed data that is still to get a verdict",
+    "expected_sigma6_diff": "printed data that is still to get a verdict",
+    "dfunc": "test builder",
+    "atoms": "test builder",
+}
+
+
+def _defined(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
+
+
+def _used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+            yield node.name
+
+
+def unused_names(sources) -> set:
+    trees = [ast.parse(text) for text in sources]
+    used = {name for tree in trees for name in _used(tree)}
+    return {name for tree in trees for name in _defined(tree)} - used
+
+
+def test_every_definition_has_a_package_caller():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert len(sources) >= 9
+    assert unused_names(sources) == set(ALLOWED)
+
+
+def test_checker_sees_unused_definitions():
+    sources = ["from .b import used\n\nclass K:\n    def m(self):\n"
+               "        return used()\n\n    def __eq__(self, o):\n"
+               "        return K\n",
+               "def used():\n    return 1\n\ndef spare():\n    return 2\n"]
+    assert unused_names(sources) == {"m", "spare"}

@@ -7,6 +7,7 @@ from wres6.calculus import build_q_symbols
 from wres6.clifford import CliffordElement
 from wres6.scalars import (
     CONNECTION_KINDS,
+    GaussRat,
     ScalarExpr,
     atom_str,
     dfunc,
@@ -168,6 +169,18 @@ def test_homogeneity_bookkeeping():
             assert any(a + b == order for a in S.orders for b in T.orders)
 
 
+def _scalar_pair():
+    x = fh_pow(1) + wp() * sc(1, 2)
+    y = fh_pow(1) * sc(-1) + sc(2)
+    return x, y
+
+
+def _xirat_pair():
+    x = XiRat.ratio((fh_pow(1), wp()), 1, 0)
+    y = XiRat.ratio((fh_pow(-1),), 1, 0) + XiRat.xin(2).scale(wp())
+    return x, y
+
+
 def _clifford_pair():
     x = CliffordElement({(): fh_pow(1), (1, 2): wp()})
     y = CliffordElement({(): fh_pow(1) * sc(-1), (3,): sc(2)})
@@ -186,10 +199,12 @@ def _boundary_pair():
 
 
 @pytest.mark.parametrize("pair, field", [
+    (_scalar_pair, "terms"),
+    (_xirat_pair, "terms"),
     (_clifford_pair, "terms"),
     (_symbol_pair, "orders"),
     (_boundary_pair, "terms"),
-], ids=["clifford", "symbol", "boundary"])
+], ids=["scalar", "xirat", "clifford", "symbol", "boundary"])
 def test_cancelled_sums_leave_no_entries(pair, field):
     # x and y share keys, so each sum below cancels some entries and must
     # drop them (for symbols: the whole order row) instead of keeping zeros
@@ -199,6 +214,32 @@ def test_cancelled_sums_leave_no_entries(pair, field):
         assert not z
     assert getattr((x + y) - y, field) == getattr(x, field)
     assert (x + y) - y == x
+
+
+# one nonzero value, one zero value and one key of each container
+_SPARSE_SUMS = {
+    ScalarExpr: (((("f", ()), 1),), GaussRat(3), GaussRat(0)),
+    CliffordElement: ((1, 2), wp(), ScalarExpr.zero()),
+    XiRat: ((1, 2), fh_pow(-2), ScalarExpr.zero()),
+    BoundaryExpr: (((0, 1, 0, 0, 0), (6,)), XiRat.inv_norm(1), XiRat.zero()),
+}
+
+
+@pytest.mark.parametrize("cls", list(_SPARSE_SUMS), ids=lambda c: c.__name__)
+def test_sparse_sum_containers_share_one_format(cls):
+    key, value, zero = _SPARSE_SUMS[cls]
+    x = cls({key: value, "other": zero})
+    assert x.terms == {key: value}            # the zero entry is dropped
+    assert cls({"other": zero}) == cls.zero() and not cls.zero()
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    for other_cls, (k, v, _) in _SPARSE_SUMS.items():
+        if other_cls is not cls:
+            y = other_cls({k: v})
+            with pytest.raises(TypeError):
+                x + y
+            assert not x == y
+    assert repr(x).startswith(f"<{cls.__name__} ")
 
 
 def test_restrict_sphere_norm_powers():
