@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .calculus import build_q_symbols, invert_symbol
-from .clifford import TRACE_ID
+from .clifford import TRACE_ID, _merge_words, word_str
 from .interior import sphere_moment
 from .scalars import (
     G_I,
@@ -217,21 +217,19 @@ class BoundaryExpr(SparseSum):
     def from_symbol(S: SymbolExpr) -> "BoundaryExpr":
         """Restrict to |xi'| = 1: |xi|^2 -> 1 + xi_n^2, xi_n powers folded in."""
         out: dict = {}
-        for o, terms in S.orders.items():
-            for (exps, p), el in terms.items():
-                xp = tuple(exps[:N_COORD - 1])
-                n_pow = exps[N_COORD - 1]
-                if p >= 0:
-                    norm = XiRat({(0, 2 * k): sc(comb(p, k)) for k in range(p + 1)})
-                else:
-                    norm = XiRat.inv_norm(-p)
-                base = XiRat.xin(n_pow) * norm
-                for w, coeff in el.terms.items():
-                    _accumulate(out, (xp, w), base.scale(coeff))
+        for (exps, p), el in S.terms.items():
+            xp = tuple(exps[:N_COORD - 1])
+            n_pow = exps[N_COORD - 1]
+            if p >= 0:
+                norm = XiRat({(0, 2 * k): sc(comb(p, k)) for k in range(p + 1)})
+            else:
+                norm = XiRat.inv_norm(-p)
+            base = XiRat.xin(n_pow) * norm
+            for w, coeff in el.terms.items():
+                _accumulate(out, (xp, w), base.scale(coeff))
         return BoundaryExpr(out)
 
     def mul(self, other: "BoundaryExpr") -> "BoundaryExpr":
-        from .clifford import _merge_words
         out: dict = {}
         for (xp1, w1), r1 in self.terms.items():
             for (xp2, w2), r2 in other.terms.items():
@@ -269,7 +267,6 @@ class BoundaryExpr(SparseSum):
             return "0"
         lines = []
         for (xp, w), r in sorted(self.terms.items()):
-            from .clifford import word_str
             mono = "*".join(f"xi{j+1}^{e}" if e > 1 else f"xi{j+1}"
                             for j, e in enumerate(xp) if e) or "1"
             lines.append(f"xiprime={mono} | cliff={word_str(w)} | {r}")

@@ -162,9 +162,9 @@ def invert_symbol(q: SymbolExpr, ctx: PointContext) -> Parametrix:
     """
     depth = 2 if ctx.is_boundary else 3
     top = q.order_part(2)
-    if set(top.orders) != {2} or list(top.orders[2]) != [xim_norm(1)]:
+    if list(top.terms) != [xim_norm(1)]:
         raise ValueError("leading symbol is not a multiple of |xi|^2")
-    lead = top.orders[2][xim_norm(1)]
+    lead = top.terms[xim_norm(1)]
     s2 = lead.scalar_part()
     if len(lead.terms) != 1 or not s2:
         raise ValueError("leading symbol is not scalar")

@@ -18,8 +18,9 @@ Arithmetic is exact; no floating point is ever produced here.  All values are
 immutable after construction, so expressions are safe to share freely.
 
 ``SparseSum`` holds the storage and the linear structure (an immutable
-``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) of ``ScalarExpr``
-and of the Clifford and boundary containers built on it.
+``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) of five
+containers: ``ScalarExpr`` and the Clifford, symbol and two boundary
+containers built on it.
 """
 
 from __future__ import annotations
@@ -253,10 +254,11 @@ def _accumulate(out: dict, key, value) -> None:
 class SparseSum:
     """An immutable sum ``terms: {key: nonzero value}``.
 
-    The storage and the linear structure of ``ScalarExpr``,
-    ``CliffordElement``, ``XiRat`` and ``BoundaryExpr``: construction drops
-    falsy values, so equal sums have equal dicts and ``==`` is a dict
-    compare.  Subclasses add their products and their printing.
+    The storage and the linear structure of five containers:
+    ``ScalarExpr``, ``CliffordElement``, ``SymbolExpr``, ``XiRat`` and
+    ``BoundaryExpr``.  Construction drops falsy values, so equal sums have
+    equal dicts and ``==`` is a dict compare.  Subclasses add their
+    products and their printing.
     """
 
     __slots__ = ("terms",)

@@ -1,11 +1,13 @@
 """Graded symbol algebra in xi with ScalarExpr x Clifford coefficients.
 
-A symbol is stored per homogeneity order as a map from xi-monomials to
-Clifford elements (whose coefficients are ScalarExpr).  A xi-monomial is a
-pair ``(exps, p)`` meaning ``xi_1^e1 ... xi_6^e6 * |xi|^(2p)``; |xi|^2 is a
-first-class generator so negative powers stay exact, and the relation
-sum_j xi_j^2 = |xi|^2 is applied only by the restriction maps and by sphere
-integration.
+A symbol is a ``scalars.SparseSum`` over xi-monomials: one flat map from
+xi-monomial to Clifford element (whose coefficients are ScalarExpr).  A
+xi-monomial is a pair ``(exps, p)`` meaning ``xi_1^e1 ... xi_6^e6 *
+|xi|^(2p)``; |xi|^2 is a first-class generator so negative powers stay
+exact, and the relation sum_j xi_j^2 = |xi|^2 is applied only by the
+restriction maps and by sphere integration.  A term's homogeneity order is
+the degree of its monomial, so it is read from the key and never stored;
+``SymbolExpr.orders`` is the view grouped by order.
 
 Point contexts fix the evaluation rules at the computation point:
 
@@ -26,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterable, Mapping
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, word_str
 from .scalars import (
     CONNECTION_KINDS,
     G_I,
     ScalarExpr,
+    SparseSum,
     _accumulate,
     _as_scalar,
     sc,
@@ -99,38 +101,20 @@ INTERIOR = PointContext("interior")
 BOUNDARY = PointContext("boundary")
 
 
-class SymbolExpr:
-    """Graded symbol: {order: {xi-monomial: CliffordElement}}."""
+class SymbolExpr(SparseSum):
+    """Graded symbol: ``terms: {xi-monomial: CliffordElement}``.
 
-    __slots__ = ("orders",)
+    A term's homogeneity order is the degree of its xi-monomial;
+    ``orders`` groups the terms by it.
+    """
 
-    def __init__(self, orders: Mapping[int, Mapping[XiMon, CliffordElement]] | None = None):
-        clean: dict = {}
-        if orders:
-            for order, terms in orders.items():
-                row = {}
-                for mono, el in terms.items():
-                    if xim_degree(mono) != order:
-                        raise ValueError(
-                            f"term {xim_str(mono)} stored under order {order}")
-                    if el:
-                        row[mono] = el
-                if row:
-                    clean[order] = row
-        object.__setattr__(self, "orders", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolExpr is immutable")
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero() -> "SymbolExpr":
-        return _S_ZERO
-
-    @staticmethod
     def term(mono: XiMon, el: CliffordElement) -> "SymbolExpr":
-        return SymbolExpr({xim_degree(mono): {mono: el}})
+        return SymbolExpr({mono: el})
 
     @staticmethod
     def scalar_term(mono: XiMon, coeff: ScalarExpr) -> "SymbolExpr":
@@ -147,70 +131,47 @@ class SymbolExpr:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, SymbolExpr):
-            return NotImplemented
-        out = {o: dict(t) for o, t in self.orders.items()}
-        for o, terms in other.orders.items():
-            row = out.setdefault(o, {})
-            for mono, el in terms.items():
-                _accumulate(row, mono, el)
-        return SymbolExpr(out)
-
-    def __neg__(self):
-        return SymbolExpr({o: {m: -el for m, el in t.items()}
-                           for o, t in self.orders.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, s) -> "SymbolExpr":
         s = _as_scalar(s)
-        if not s:
-            return _S_ZERO
-        return SymbolExpr({o: {m: el.scale(s) for m, el in t.items()}
-                           for o, t in self.orders.items()})
+        return SymbolExpr({m: el.scale(s) for m, el in self.terms.items()})
 
     def cliff_lmul(self, c: CliffordElement) -> "SymbolExpr":
-        return SymbolExpr({o: {m: c * el for m, el in t.items()}
-                           for o, t in self.orders.items()})
+        return SymbolExpr({m: c * el for m, el in self.terms.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, SymbolExpr):
-            return NotImplemented
-        return self.orders == other.orders
+    # -- homogeneity orders ----------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.orders)
+    @property
+    def orders(self) -> dict:
+        """The terms grouped by order: {order: {xi-monomial: CliffordElement}}."""
+        out: dict = {}
+        for mono, el in self.terms.items():
+            out.setdefault(xim_degree(mono), {})[mono] = el
+        return out
 
     def order_part(self, k: int) -> "SymbolExpr":
-        if k not in self.orders:
-            return _S_ZERO
-        return SymbolExpr({k: dict(self.orders[k])})
+        return SymbolExpr({m: el for m, el in self.terms.items()
+                           if xim_degree(m) == k})
 
     def top_order(self) -> int:
-        if not self.orders:
+        if not self.terms:
             raise ValueError("zero symbol has no top order")
-        return max(self.orders)
+        return max(map(xim_degree, self.terms))
 
     def truncate_below(self, lowest: int) -> "SymbolExpr":
-        return SymbolExpr({o: dict(t) for o, t in self.orders.items() if o >= lowest})
+        return SymbolExpr({m: el for m, el in self.terms.items()
+                           if xim_degree(m) >= lowest})
 
-    def terms(self) -> Iterable[tuple[int, XiMon, CliffordElement]]:
-        for o in sorted(self.orders, reverse=True):
-            for mono in sorted(self.orders[o]):
-                yield o, mono, self.orders[o][mono]
+    def sorted_terms(self):
+        """Terms by order descending, then by xi-monomial."""
+        return sorted(self.terms.items(), key=lambda kv: (-xim_degree(kv[0]), kv[0]))
 
     # -- pointwise product (no derivative corrections) ------------------------
 
     def mul(self, other: "SymbolExpr") -> "SymbolExpr":
         out: dict = {}
-        for o1, t1 in self.orders.items():
-            for o2, t2 in other.orders.items():
-                row = out.setdefault(o1 + o2, {})
-                for m1, e1 in t1.items():
-                    for m2, e2 in t2.items():
-                        _accumulate(row, xim_mul(m1, m2), e1 * e2)
+        for m1, e1 in self.terms.items():
+            for m2, e2 in other.terms.items():
+                _accumulate(out, xim_mul(m1, m2), e1 * e2)
         return SymbolExpr(out)
 
     # -- xi-derivative ---------------------------------------------------------
@@ -220,18 +181,16 @@ class SymbolExpr:
         if not 1 <= mu <= 6:
             raise ValueError("xi index out of range")
         out: dict = {}
-        for o, terms in self.orders.items():
-            row = out.setdefault(o - 1, {})
-            for (exps, p), el in terms.items():
-                e_mu = exps[mu - 1]
-                if e_mu:
-                    new = list(exps)
-                    new[mu - 1] -= 1
-                    _accumulate(row, (tuple(new), p), el.scale(sc(e_mu)))
-                if p:
-                    new = list(exps)
-                    new[mu - 1] += 1
-                    _accumulate(row, (tuple(new), p - 1), el.scale(sc(2 * p)))
+        for (exps, p), el in self.terms.items():
+            e_mu = exps[mu - 1]
+            if e_mu:
+                new = list(exps)
+                new[mu - 1] -= 1
+                _accumulate(out, (tuple(new), p), el.scale(sc(e_mu)))
+            if p:
+                new = list(exps)
+                new[mu - 1] += 1
+                _accumulate(out, (tuple(new), p - 1), el.scale(sc(2 * p)))
         return SymbolExpr(out)
 
     # -- x-derivative under a point context -----------------------------------
@@ -246,26 +205,24 @@ class SymbolExpr:
         """
         out: dict = {}
         boundary_n = ctx.is_boundary and j == N_COORD
-        for o, terms in self.orders.items():
-            row = out.setdefault(o, {})
-            for (exps, p), el in terms.items():
-                dcoeff = el.map_scalars(lambda c: c.derive_x(j, geom="drop"))
-                if dcoeff:
-                    _accumulate(row, (exps, p), dcoeff)
-                if boundary_n:
-                    if any(w for w in el.terms):
-                        # d/dx_n of Clifford content at the boundary point is
-                        # a frame derivative this computation never needs
-                        raise NotImplementedError(
-                            "normal derivative of Clifford content")
-                    if p:
-                        # d/dx_n |xi|^(2p) = p w'(0) |xi'|^2 |xi|^(2p-2),
-                        # with |xi'|^2 = |xi|^2 - xi_n^2
-                        base = el.scale(wp() * sc(p))
-                        _accumulate(row, (exps, p), base)
-                        xn2 = list(exps)
-                        xn2[N_COORD - 1] += 2
-                        _accumulate(row, (tuple(xn2), p - 1), -base)
+        for (exps, p), el in self.terms.items():
+            dcoeff = el.map_scalars(lambda c: c.derive_x(j, geom="drop"))
+            if dcoeff:
+                _accumulate(out, (exps, p), dcoeff)
+            if boundary_n:
+                if any(w for w in el.terms):
+                    # d/dx_n of Clifford content at the boundary point is
+                    # a frame derivative this computation never needs
+                    raise NotImplementedError(
+                        "normal derivative of Clifford content")
+                if p:
+                    # d/dx_n |xi|^(2p) = p w'(0) |xi'|^2 |xi|^(2p-2),
+                    # with |xi'|^2 = |xi|^2 - xi_n^2
+                    base = el.scale(wp() * sc(p))
+                    _accumulate(out, (exps, p), base)
+                    xn2 = list(exps)
+                    xn2[N_COORD - 1] += 2
+                    _accumulate(out, (tuple(xn2), p - 1), -base)
         return SymbolExpr(out)
 
     # -- restrictions ----------------------------------------------------------
@@ -273,45 +230,37 @@ class SymbolExpr:
     def restrict_sphere(self) -> dict:
         """|xi| = 1: returns {(exps, word): ScalarExpr} with |xi|^2 -> 1."""
         out: dict = {}
-        for o, terms in self.orders.items():
-            for (exps, p), el in terms.items():
-                for w, c in el.terms.items():
-                    _accumulate(out, (exps, w), c)
+        for (exps, p), el in self.terms.items():
+            for w, c in el.terms.items():
+                _accumulate(out, (exps, w), c)
         return out
 
     # -- display ----------------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
-        lines = []
-        for o, mono, el in self.terms():
-            for w, c in el.sorted_terms():
-                from .clifford import word_str
-                lines.append(
-                    f"order={o} | {c} | xi={xim_str(mono)} | cliff={word_str(w)}")
-        return lines
+        return [f"order={xim_degree(mono)} | {c} | xi={xim_str(mono)} "
+                f"| cliff={word_str(w)}"
+                for mono, el in self.sorted_terms() for w, c in el.sorted_terms()]
 
     def __str__(self):
         return "\n".join(self.dump_lines()) or "0"
 
     def __repr__(self):
-        n = sum(len(t) for t in self.orders.values())
-        return f"<SymbolExpr orders={sorted(self.orders, reverse=True)} terms={n}>"
+        return (f"<SymbolExpr orders={sorted(self.orders, reverse=True)} "
+                f"terms={len(self.terms)}>")
 
 
-_S_ZERO = SymbolExpr({})
-
-
-def _xi_form(order: int, coeffs: dict) -> SymbolExpr:
+def _xi_form(coeffs: dict) -> SymbolExpr:
     """The symbol {xi-monomial: coefficient}, scalar coefficients as the
     identity element times the scalar."""
-    return SymbolExpr({order: {
+    return SymbolExpr({
         m: c if isinstance(c, CliffordElement) else CliffordElement.identity(c)
-        for m, c in coeffs.items()}})
+        for m, c in coeffs.items()})
 
 
 def xi_linear(v) -> SymbolExpr:
     """sum_j v(j) xi_j; v(j) is a ScalarExpr or a CliffordElement."""
-    return _xi_form(1, {xim_xi(j): v(j) for j in range(1, 7)})
+    return _xi_form({xim_xi(j): v(j) for j in range(1, 7)})
 
 
 def xi_quadratic(q) -> SymbolExpr:
@@ -320,7 +269,7 @@ def xi_quadratic(q) -> SymbolExpr:
     for j in range(1, 7):
         for l in range(1, 7):
             _accumulate(coeffs, xim_mul(xim_xi(j), xim_xi(l)), q(j, l))
-    return _xi_form(2, coeffs)
+    return _xi_form(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,24 +308,22 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
     anyway, so the fold in canonical atom order is well defined.
     """
     out: dict = {}
-    for o, terms in S.orders.items():
-        row = out.setdefault(o, {})
-        for xm, el in terms.items():
-            acc: dict = {}
-            for w, coeff in el.terms.items():
-                word = CliffordElement({w: ScalarExpr.one()})
-                for mono, c in coeff.terms.items():
-                    keep = tuple((a, e) for a, e in mono
-                                 if a[0] not in CONNECTION_KINDS)
-                    value = CliffordElement.identity(ScalarExpr({keep: c}))
-                    for atom, exp in mono:
-                        if atom[0] in CONNECTION_KINDS:
-                            for _ in range(exp):
-                                value = value * _connection_value(atom, ctx)
-                    for w2, s in (value * word).terms.items():
-                        for m2, c2 in s.terms.items():
-                            _accumulate(acc.setdefault(w2, {}), m2, c2)
-            row[xm] = CliffordElement({w: ScalarExpr(t) for w, t in acc.items()})
+    for xm, el in S.terms.items():
+        acc: dict = {}
+        for w, coeff in el.terms.items():
+            word = CliffordElement({w: ScalarExpr.one()})
+            for mono, c in coeff.terms.items():
+                keep = tuple((a, e) for a, e in mono
+                             if a[0] not in CONNECTION_KINDS)
+                value = CliffordElement.identity(ScalarExpr({keep: c}))
+                for atom, exp in mono:
+                    if atom[0] in CONNECTION_KINDS:
+                        for _ in range(exp):
+                            value = value * _connection_value(atom, ctx)
+                for w2, s in (value * word).terms.items():
+                    for m2, c2 in s.terms.items():
+                        _accumulate(acc.setdefault(w2, {}), m2, c2)
+        out[xm] = CliffordElement({w: ScalarExpr(t) for w, t in acc.items()})
     return SymbolExpr(out)
 
 
@@ -393,12 +340,14 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
     falling below the cutoff are skipped before any derivative is taken, so
     the derivative-order bound is never exercised by discarded terms.
     """
-    if not A.orders or not B.orders:
+    if not A or not B:
         return SymbolExpr.zero()
     top = A.top_order() + B.top_order()
     if top < lowest_order:
         raise ValueError("truncation bound incompatible with input orders")
     max_k = top - lowest_order
+    parts_a = {o: SymbolExpr(t) for o, t in A.orders.items()}
+    parts_b = {o: SymbolExpr(t) for o, t in B.orders.items()}
     total = SymbolExpr.zero()
     for k in range(max_k + 1):
         coeff_i = (G_I * -1) ** k  # (-i)^k
@@ -409,12 +358,12 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
             scale = ScalarExpr.const(coeff_i * Fraction(1, fact))
             dA_cache: dict[int, SymbolExpr] = {}
             dB_cache: dict[int, SymbolExpr] = {}
-            for a in A.orders:
-                for b in B.orders:
+            for a, part_a in parts_a.items():
+                for b, part_b in parts_b.items():
                     if a - k + b < lowest_order:
                         continue
                     if a not in dA_cache:
-                        part = A.order_part(a)
+                        part = part_a
                         for mu in alpha:
                             part = part.derive_xi(mu)
                             if not part:
@@ -424,7 +373,7 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
                     if not dA:
                         continue
                     if b not in dB_cache:
-                        part = B.order_part(b)
+                        part = part_b
                         for mu in alpha:
                             part = part.derive_x(mu, ctx)
                             if not part:

@@ -42,3 +42,13 @@ def test_counted_names_resolve():
         for part in qualname.split("."):
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+def test_output_sizes_count_the_sigma6_and_b4_terms():
+    # the benchmark's count mode reads these through ``SymbolExpr.orders``
+    from wres6 import calculus
+
+    child = _load_child()
+    calculus.qinv_square_sigma6()
+    assert child.output_sizes() == {"calculus.sigma6_terms": 1342,
+                                    "calculus.b4_terms": 1342}

@@ -36,7 +36,7 @@ from wres6.symbols import (
 def strip_geom(S: SymbolExpr) -> SymbolExpr:
     """Drop every term carrying a geometric atom (keep pure f/h content)."""
     out = SymbolExpr.zero()
-    for o, mono, el in S.terms():
+    for mono, el in S.terms.items():
         kept = el.map_scalars(
             lambda c: ScalarExpr({m: x for m, x in c.terms.items()
                                   if all(a[0] in ("f", "h", "u") for a, _ in m)}))
@@ -47,7 +47,7 @@ def strip_geom(S: SymbolExpr) -> SymbolExpr:
 
 def set_f_h_to_one(S: SymbolExpr) -> SymbolExpr:
     out = SymbolExpr.zero()
-    for o, mono, el in S.terms():
+    for mono, el in S.terms.items():
         el2 = el.map_scalars(lambda c: c.map_func_atoms(
             lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()))
         if el2:
@@ -125,13 +125,13 @@ def test_q_order_one_clifford_part():
     want_full = SymbolExpr.xi_covector().cliff_lmul(cdhf).scale(
         fh_pow(1) * ScalarExpr.const(G_I))
     want = SymbolExpr.zero()
-    for o, mono, el in want_full.terms():
+    for mono, el in want_full.terms.items():
         kept = CliffordElement({w: c for w, c in el.terms.items() if w})
         if kept:
             want = want + SymbolExpr.term(mono, kept)
     # isolate the terms with nonempty Clifford words and no connection atoms
     got = SymbolExpr.zero()
-    for o, mono, el in q.terms():
+    for mono, el in q.terms.items():
         kept = {}
         for w, coeff in el.terms.items():
             if not w:
@@ -207,13 +207,13 @@ def test_b3_clifford_term_present():
         fh_pow(-3) * ScalarExpr.const(-G_I)).mul(
         SymbolExpr.scalar_term(xim_norm(-2), ScalarExpr.one()))
     got = SymbolExpr.zero()
-    for o, mono, el in par.b3.terms():
+    for mono, el in par.b3.terms.items():
         kept = CliffordElement({w: c for w, c in el.terms.items() if w})
         if kept:
             got = got + SymbolExpr.term(mono, kept)
     # the only Clifford content of b_-3 is -i (fh)^-3 |xi|^-4 c(d(hf)) c(xi)
     bivector_part = SymbolExpr.zero()
-    for o, mono, el in want.terms():
+    for mono, el in want.terms.items():
         kept = CliffordElement({w: c for w, c in el.terms.items() if w})
         if kept:
             bivector_part = bivector_part + SymbolExpr.term(mono, kept)
@@ -260,7 +260,7 @@ def test_specialization_coherence_numeric():
 
     def map_symbol(S):
         out = SymbolExpr.zero()
-        for o, mono, el in S.terms():
+        for mono, el in S.terms.items():
             el2 = el.map_scalars(lambda c: c.map_func_atoms(spec))
             if el2:
                 out = out + SymbolExpr.term(mono, el2)

@@ -167,7 +167,7 @@ def test_partition_property():
     s6 = qinv_square_sigma6()
     total = integrate_trace(s6, contract=False)
     acc = ScalarExpr.zero()
-    for o, mono, el in s6.terms():
+    for mono, el in s6.terms.items():
         acc = acc + integrate_trace(SymbolExpr.term(mono, el), contract=False)
     assert acc == total
 

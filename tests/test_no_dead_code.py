@@ -1,6 +1,7 @@
 """The package holds only what the package uses: every function, method and
 class of ``src/wres6`` is named somewhere in ``src/wres6`` outside its own
-definition line, apart from the allow-listed names below."""
+definition line, apart from the allow-listed names below, and every
+module-level import is used by the module that makes it."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,21 @@ def unused_names(sources) -> set:
     return {name for tree in trees for name in _defined(tree)} - used
 
 
+def _module_imports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def unused_imports(text) -> set:
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return set(_module_imports(tree)) - used
+
+
 def test_every_definition_has_a_package_caller():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert len(sources) >= 9
@@ -59,3 +75,16 @@ def test_checker_sees_unused_definitions():
                "        return K\n",
                "def used():\n    return 1\n\ndef spare():\n    return 2\n"]
     assert unused_names(sources) == {"m", "spare"}
+
+
+def test_every_module_import_is_used():
+    unused = {p.name: unused_imports(p.read_text(encoding="utf-8"))
+              for p in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_checker_sees_unused_imports():
+    text = ("from __future__ import annotations\n\nimport os.path\n"
+            "import json as js\nfrom typing import Iterable, Mapping\n\n"
+            "def f(x: Iterable):\n    import sys\n    return js.dumps(x), sys\n")
+    assert unused_imports(text) == {"os", "Mapping"}

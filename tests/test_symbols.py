@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wres6.boundary import BoundaryExpr, XiRat
-from wres6.calculus import build_q_symbols
+from wres6.calculus import build_q_symbols, interior_parametrix
 from wres6.clifford import CliffordElement
 from wres6.scalars import (
     CONNECTION_KINDS,
@@ -24,6 +24,7 @@ from wres6.symbols import (
     apply_context,
     xi_linear,
     xi_quadratic,
+    xim_degree,
     xim_norm,
     xim_xi,
 )
@@ -198,21 +199,17 @@ def _boundary_pair():
     return BoundaryExpr.from_symbol(x), BoundaryExpr.from_symbol(y)
 
 
-@pytest.mark.parametrize("pair, field", [
-    (_scalar_pair, "terms"),
-    (_xirat_pair, "terms"),
-    (_clifford_pair, "terms"),
-    (_symbol_pair, "orders"),
-    (_boundary_pair, "terms"),
+@pytest.mark.parametrize("pair", [
+    _scalar_pair, _xirat_pair, _clifford_pair, _symbol_pair, _boundary_pair,
 ], ids=["scalar", "xirat", "clifford", "symbol", "boundary"])
-def test_cancelled_sums_leave_no_entries(pair, field):
+def test_cancelled_sums_leave_no_entries(pair):
     # x and y share keys, so each sum below cancels some entries and must
-    # drop them (for symbols: the whole order row) instead of keeping zeros
+    # drop them instead of keeping zeros
     x, y = pair()
     for z in (x + (-x), (x + y) - y - x):
-        assert getattr(z, field) == {}
+        assert z.terms == {}
         assert not z
-    assert getattr((x + y) - y, field) == getattr(x, field)
+    assert ((x + y) - y).terms == x.terms
     assert (x + y) - y == x
 
 
@@ -221,6 +218,7 @@ _SPARSE_SUMS = {
     ScalarExpr: (((("f", ()), 1),), GaussRat(3), GaussRat(0)),
     CliffordElement: ((1, 2), wp(), ScalarExpr.zero()),
     XiRat: ((1, 2), fh_pow(-2), ScalarExpr.zero()),
+    SymbolExpr: (xim_xi(1), CliffordElement.generator(2), CliffordElement.zero()),
     BoundaryExpr: (((0, 1, 0, 0, 0), (6,)), XiRat.inv_norm(1), XiRat.zero()),
 }
 
@@ -368,5 +366,13 @@ def test_xi_quadratic_of_riemann_is_the_index_expanded_form():
 
 
 def test_xi_linear_of_generators_is_c_xi():
-    assert xi_linear(CliffordElement.generator) == SymbolExpr({1: {
-        xim_xi(j): CliffordElement.generator(j) for j in range(1, 7)}})
+    assert xi_linear(CliffordElement.generator) == SymbolExpr({
+        xim_xi(j): CliffordElement.generator(j) for j in range(1, 7)})
+
+
+def test_orders_group_the_flat_terms_by_degree():
+    S = interior_parametrix().full_symbol()
+    assert set(S.orders) == {xim_degree(m) for m in S.terms} == {-2, -3, -4}
+    parts = [SymbolExpr(S.orders[k]) for k in S.orders]
+    assert parts == [S.order_part(k) for k in S.orders]
+    assert sum(parts, SymbolExpr.zero()) == S

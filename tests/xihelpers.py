@@ -6,6 +6,7 @@ defining relation, which this helper applies by clearing denominators and
 expanding the remaining nonnegative powers multinomially.
 """
 
+from wres6.scalars import _accumulate
 from wres6.symbols import SymbolExpr
 
 
@@ -26,29 +27,19 @@ def _expand_norm_power(p: int):
 
 def normalize_pair(S: SymbolExpr, T: SymbolExpr):
     """Clear |xi|-denominators jointly and expand; returns comparable dicts."""
-    ps = [m[1] for sym in (S, T) for t in sym.orders.values() for m in t]
+    ps = [p for sym in (S, T) for _, p in sym.terms]
     pmin = min(ps) if ps else 0
     return _expand(S, -pmin), _expand(T, -pmin)
 
 
 def _expand(S: SymbolExpr, shift: int):
     out = {}
-    for o, terms in S.orders.items():
-        for (exps, p), el in terms.items():
-            for mono, mult in _expand_norm_power(p + shift).items():
-                key = tuple(a + b for a, b in zip(exps, mono))
-                for w, c in el.terms.items():
-                    acc = out.get((key, w))
-                    c = c * mult
-                    if acc is None:
-                        out[(key, w)] = c
-                    else:
-                        s = acc + c
-                        if s:
-                            out[(key, w)] = s
-                        else:
-                            del out[(key, w)]
-    return {k: v for k, v in out.items() if v}
+    for (exps, p), el in S.terms.items():
+        for mono, mult in _expand_norm_power(p + shift).items():
+            key = tuple(a + b for a, b in zip(exps, mono))
+            for w, c in el.terms.items():
+                _accumulate(out, (key, w), c * mult)
+    return out
 
 
 def xi_equal(S: SymbolExpr, T: SymbolExpr) -> bool:
