@@ -46,7 +46,6 @@ from .symbols import (
     BOUNDARY,
     N_COORD,
     SymbolExpr,
-    apply_context,
 )
 
 
@@ -279,8 +278,7 @@ class BoundaryExpr(SparseSum):
 
 @lru_cache(maxsize=None)
 def boundary_parametrix():
-    q = apply_context(build_q_symbols(), BOUNDARY)
-    return invert_symbol(q, BOUNDARY)
+    return invert_symbol(build_q_symbols(BOUNDARY), BOUNDARY)
 
 
 # ---------------------------------------------------------------------------

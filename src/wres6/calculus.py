@@ -1,12 +1,16 @@
 """Operator-level constructions for Q = (fDh)^2 and its inverse powers.
 
-The symbols of the Dirac operator and its square are taken as given; the
-rescaled operator's symbol is assembled from the operator identity
+The symbols of the Dirac operator and its square are taken as given, and
+evaluated at the point before the rescaled operator's symbol is assembled
+from the operator identity
 
     Q = fhfh D^2 + fhf [D^2, h] + fh c(d(hf)) D + f c(d(hf)) c(dh)
 
 with the commutator formed by the same composition as every other product,
-sigma([D^2, h]) = sigma(D^2) o h - h sigma(D^2).  The inverse
+sigma([D^2, h]) = sigma(D^2) o h - h sigma(D^2).  Q is linear in the
+connection atoms, whose Clifford-valued (sig) values meet only scalar
+factors, so this is the evaluated generic symbol, built without
+multiplying out the 180-term cubic of sigma(D) by c(d(hf)).  The inverse
 is built by the triangular parametrix recursion; the square's order -6
 symbol is produced both by direct composition and by the reduced
 combination  3 s2^-1 b_-4 + s2^-3 s0 + b_-3 b_-3 + s2^-2 s1 b_-3 + ... ,
@@ -35,10 +39,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .clifford import CliffordElement, c_of_d
+from .clifford import _merge_words, c_of_d, raw_element
 from .scalars import (
     G_I,
     ScalarExpr,
+    _accumulate,
     curv0,
     f_pow,
     fh_pow,
@@ -72,16 +77,17 @@ class RouteDisagreement(RuntimeError):
 
 
 def build_d_symbols() -> SymbolExpr:
-    """sigma(D): order 1 is i c(xi); order 0 the frame-connection cubic."""
+    """sigma(D): order 1 is i c(xi); order 0 the frame-connection cubic
+    -1/4 omega_{s,t}(e_i) c_i c_s c_t, summed into one raw dict."""
     order1 = SymbolExpr.xi_covector().scale(ScalarExpr.const(G_I))
-    acc = CliffordElement.zero()
+    raw: dict = {}
     for i, s, t in product(range(1, 7), repeat=3):
-        w = omega(i, s, t)  # zero for s == t
-        if w:
-            word = (CliffordElement.generator(i) * CliffordElement.generator(s)
-                    * CliffordElement.generator(t))
-            acc = acc + word.scale(w * sc(-1, 4))
-    return order1 + SymbolExpr.term(XIM_ONE, acc)
+        sign_is, w_is = _merge_words((i,), (s,))
+        sign, w = _merge_words(w_is, (t,))
+        coeff = omega(i, s, t) * sc(-sign_is * sign, 4)  # zero for s == t
+        for mono, c in coeff.terms.items():
+            _accumulate(raw.setdefault(w, {}), mono, c)
+    return order1 + SymbolExpr.term(XIM_ONE, raw_element(raw))
 
 
 def build_d2_symbols() -> SymbolExpr:
@@ -97,13 +103,21 @@ def build_d2_symbols() -> SymbolExpr:
 
 
 @lru_cache(maxsize=None)
-def build_q_symbols() -> SymbolExpr:
-    """Orders 2, 1, 0 of Q with connection atoms left symbolic."""
+def build_q_symbols(ctx: PointContext | None = None) -> SymbolExpr:
+    """Orders 2, 1, 0 of Q; connection atoms symbolic without ``ctx``.
+
+    With ``ctx`` they are evaluated in sigma(D^2) and sigma(D) before Q is
+    assembled.  That equals ``apply_context`` of the generic symbol: the one
+    left product, c(d(hf)) sigma(D), meets only om values, which are scalars.
+    """
     f = f_pow(1)
     h = h_pow(1)
     fh = fh_pow(1)
     d2 = build_d2_symbols()
     d1 = build_d_symbols()
+    if ctx is not None:
+        d2 = apply_context(d2, ctx)
+        d1 = apply_context(d1, ctx)
     c_dhf = c_of_d(fh)  # hf = fh as scalar functions
     c_dh = c_of_d(h)
     # [D^2, h]: the right factor is a function, so no context rule applies
@@ -189,9 +203,8 @@ def invert_symbol(q: SymbolExpr, ctx: PointContext) -> Parametrix:
     )
 
 
-@lru_cache(maxsize=None)
 def interior_q() -> SymbolExpr:
-    return apply_context(build_q_symbols(), INTERIOR)
+    return build_q_symbols(INTERIOR)
 
 
 @lru_cache(maxsize=None)
@@ -275,13 +288,10 @@ def operator_symbols(name: str, ctx: PointContext | None = None) -> SymbolExpr:
     if name == "D2":
         return build_d2_symbols()
     if name == "Q":
-        sym = build_q_symbols()
-        if ctx is not None:
-            sym = apply_context(sym, ctx)
-        return sym
+        return build_q_symbols(ctx)
     if name == "Qinv":
         use = ctx or INTERIOR
-        return invert_symbol(apply_context(build_q_symbols(), use), use).full_symbol()
+        return invert_symbol(build_q_symbols(use), use).full_symbol()
     if name == "Qinv2":
         if ctx is not None and ctx.is_boundary:
             raise ValueError("Qinv2 is an interior-point computation")

@@ -8,6 +8,8 @@ canonical word to 0.
 
 ``CliffordElement`` is a ``scalars.SparseSum`` (word -> ScalarExpr), which
 holds its storage and its linear structure; this module adds the product.
+Every product adds into a raw ``{word: {monomial: GaussRat}}`` dict
+(``mul_into``), and each ``ScalarExpr`` is built once (``raw_element``).
 
 ``matrix_oracle`` returns six concrete 8x8 matrices over exact Gaussian
 rationals satisfying the same relations; tests use it as an independent
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .scalars import GaussRat, ScalarExpr, SparseSum, _accumulate, _as_scalar
+from .scalars import (G_ONE, GaussRat, ScalarExpr, SparseSum, _accumulate,
+                      _as_scalar, _mono_mul)
 
 TRACE_ID = 8  # 2^(n/2) with n = 6, fixed for this artifact
 
@@ -40,6 +43,25 @@ def _merge_words(w1: tuple, w2: tuple) -> tuple[int, tuple]:
             sign *= (-1) ** swaps
             out.insert(pos, g)
     return sign, tuple(out)
+
+
+def mul_into(raw: dict, a: "CliffordElement", b: "CliffordElement",
+             scale: GaussRat = G_ONE) -> None:
+    """Add scale * a * b into ``raw``, a {word: {monomial: GaussRat}} dict."""
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            sign, w = _merge_words(w1, w2)
+            acc = raw.setdefault(w, {})
+            k = scale if sign > 0 else -scale
+            for m1, g1 in c1.terms.items():
+                g = g1 * k
+                for m2, g2 in c2.terms.items():
+                    _accumulate(acc, _mono_mul(m1, m2), g * g2)
+
+
+def raw_element(raw: dict) -> "CliffordElement":
+    """The element of a {word: {monomial: GaussRat}} dict."""
+    return CliffordElement({w: ScalarExpr(t) for w, t in raw.items()})
 
 
 class CliffordElement(SparseSum):
@@ -76,13 +98,9 @@ class CliffordElement(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                sign, w = _merge_words(w1, w2)
-                c = c1 * c2
-                _accumulate(out, w, -c if sign < 0 else c)
-        return CliffordElement(out)
+        raw: dict = {}
+        mul_into(raw, self, other)
+        return raw_element(raw)
 
     def __hash__(self):
         return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))

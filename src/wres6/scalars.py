@@ -26,6 +26,7 @@ containers built on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 MAX_DERIV_ORDER = 2
@@ -531,7 +532,10 @@ def _pair_key(ae):
     return _atom_key(ae[0])
 
 
+@lru_cache(maxsize=None)
 def _mono_mul(m1, m2):
+    """The product of two canonical monomials; the same few thousand pairs
+    recur throughout one verification, so the results are memoized."""
     if not m1:
         return m2
     if not m2:

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .clifford import CliffordElement, word_str
+from .clifford import CliffordElement, mul_into, raw_element, word_str
 from .scalars import (
     CONNECTION_KINDS,
     G_I,
+    G_ONE,
     ScalarExpr,
     SparseSum,
     _accumulate,
@@ -41,7 +43,6 @@ from .scalars import (
     wp,
 )
 
-DIM = 6
 N_COORD = 6  # the distinguished normal coordinate index is 6
 
 XiMon = tuple  # ((e1..e6), p)
@@ -157,10 +158,6 @@ class SymbolExpr(SparseSum):
             raise ValueError("zero symbol has no top order")
         return max(map(xim_degree, self.terms))
 
-    def truncate_below(self, lowest: int) -> "SymbolExpr":
-        return SymbolExpr({m: el for m, el in self.terms.items()
-                           if xim_degree(m) >= lowest})
-
     def sorted_terms(self):
         """Terms by order descending, then by xi-monomial."""
         return sorted(self.terms.items(), key=lambda kv: (-xim_degree(kv[0]), kv[0]))
@@ -168,11 +165,9 @@ class SymbolExpr(SparseSum):
     # -- pointwise product (no derivative corrections) ------------------------
 
     def mul(self, other: "SymbolExpr") -> "SymbolExpr":
-        out: dict = {}
-        for m1, e1 in self.terms.items():
-            for m2, e2 in other.terms.items():
-                _accumulate(out, xim_mul(m1, m2), e1 * e2)
-        return SymbolExpr(out)
+        raw: dict = {}
+        _mul_symbols_into(raw, self, other)
+        return _raw_symbol(raw)
 
     # -- xi-derivative ---------------------------------------------------------
 
@@ -250,6 +245,19 @@ class SymbolExpr(SparseSum):
                 f"terms={len(self.terms)}>")
 
 
+def _mul_symbols_into(raw: dict, a: SymbolExpr, b: SymbolExpr,
+                      scale=G_ONE) -> None:
+    """Add scale * a * b into ``raw``, a {xi-monomial: {word: {monomial:
+    GaussRat}}} dict."""
+    for m1, e1 in a.terms.items():
+        for m2, e2 in b.terms.items():
+            mul_into(raw.setdefault(xim_mul(m1, m2), {}), e1, e2, scale)
+
+
+def _raw_symbol(raw: dict) -> SymbolExpr:
+    return SymbolExpr({m: raw_element(r) for m, r in raw.items()})
+
+
 def _xi_form(coeffs: dict) -> SymbolExpr:
     """The symbol {xi-monomial: coefficient}, scalar coefficients as the
     identity element times the scalar."""
@@ -303,9 +311,9 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
     Each scalar monomial keeps its other atoms as one monomial (a sub-tuple
     of a canonical monomial is canonical), is multiplied by the values of
     its connection atoms in canonical atom order and then by its Clifford
-    word on the right, so sig values multiply from the left.  Monomials
-    with more than one connection atom only arise where the result vanishes
-    anyway, so the fold in canonical atom order is well defined.
+    word on the right, so sig values multiply from the left.  Q is assembled
+    after this is applied to sigma(D^2) and sigma(D), where no monomial has
+    two connection atoms, so the order of that fold never matters.
     """
     out: dict = {}
     for xm, el in S.terms.items():
@@ -320,10 +328,8 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
                     if atom[0] in CONNECTION_KINDS:
                         for _ in range(exp):
                             value = value * _connection_value(atom, ctx)
-                for w2, s in (value * word).terms.items():
-                    for m2, c2 in s.terms.items():
-                        _accumulate(acc.setdefault(w2, {}), m2, c2)
-        out[xm] = CliffordElement({w: ScalarExpr(t) for w, t in acc.items()})
+                mul_into(acc, value, word)
+        out[xm] = raw_element(acc)
     return SymbolExpr(out)
 
 
@@ -338,7 +344,9 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
     Truncated below ``lowest_order``; the multi-index sum runs over every
     alpha that can still contribute at or above the truncation.  Order pairs
     falling below the cutoff are skipped before any derivative is taken, so
-    the derivative-order bound is never exercised by discarded terms.
+    the derivative-order bound is never exercised by discarded terms, and
+    every product that is made lies at or above the cutoff.  All products
+    add, with (-i)^|a|/a! folded into their coefficients, into one raw dict.
     """
     if not A or not B:
         return SymbolExpr.zero()
@@ -348,14 +356,14 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
     max_k = top - lowest_order
     parts_a = {o: SymbolExpr(t) for o, t in A.orders.items()}
     parts_b = {o: SymbolExpr(t) for o, t in B.orders.items()}
-    total = SymbolExpr.zero()
+    raw: dict = {}
     for k in range(max_k + 1):
         coeff_i = (G_I * -1) ** k  # (-i)^k
         for alpha in combinations_with_replacement(range(1, 7), k):
             fact = 1
             for j in set(alpha):
                 fact *= factorial(alpha.count(j))
-            scale = ScalarExpr.const(coeff_i * Fraction(1, fact))
+            scale = coeff_i * Fraction(1, fact)
             dA_cache: dict[int, SymbolExpr] = {}
             dB_cache: dict[int, SymbolExpr] = {}
             for a, part_a in parts_a.items():
@@ -363,24 +371,12 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
                     if a - k + b < lowest_order:
                         continue
                     if a not in dA_cache:
-                        part = part_a
-                        for mu in alpha:
-                            part = part.derive_xi(mu)
-                            if not part:
-                                break
-                        dA_cache[a] = part
+                        dA_cache[a] = reduce(SymbolExpr.derive_xi, alpha, part_a)
                     dA = dA_cache[a]
                     if not dA:
                         continue
                     if b not in dB_cache:
-                        part = part_b
-                        for mu in alpha:
-                            part = part.derive_x(mu, ctx)
-                            if not part:
-                                break
-                        dB_cache[b] = part
-                    dB = dB_cache[b]
-                    if not dB:
-                        continue
-                    total = total + dA.mul(dB).scale(scale)
-    return total.truncate_below(lowest_order)
+                        dB_cache[b] = reduce(lambda p, mu: p.derive_x(mu, ctx),
+                                             alpha, part_b)
+                    _mul_symbols_into(raw, dA, dB_cache[b], scale)
+    return _raw_symbol(raw)

@@ -52,3 +52,21 @@ def test_output_sizes_count_the_sigma6_and_b4_terms():
     calculus.qinv_square_sigma6()
     assert child.output_sizes() == {"calculus.sigma6_terms": 1342,
                                     "calculus.b4_terms": 1342}
+
+
+def test_profiled_counts_see_the_memoized_and_flat_products():
+    # cProfile sees a memoized function's code only on a cache miss, and the
+    # Clifford product only where it is still called; a cache or a helper
+    # that hid either code object would read 0 here without any error
+    import cProfile
+
+    from wres6 import calculus, scalars
+    from wres6.symbols import BOUNDARY
+
+    child = _load_child()
+    scalars._mono_mul.cache_clear()
+    profile = cProfile.Profile()
+    profile.runcall(calculus.build_q_symbols.__wrapped__, BOUNDARY)
+    counts = child.profile_counts(profile)
+    assert counts["scalars.mono_mul_calls"] > 0
+    assert counts["clifford.mul_calls"] > 0

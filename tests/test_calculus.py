@@ -13,6 +13,7 @@ from wres6.calculus import (
 )
 from wres6.clifford import CliffordElement
 from wres6.scalars import (
+    CONNECTION_KINDS,
     G_I,
     ScalarExpr,
     dfunc,
@@ -23,6 +24,7 @@ from wres6.scalars import (
     sig,
 )
 from wres6.symbols import (
+    BOUNDARY,
     INTERIOR,
     SymbolExpr,
     XIM_ONE,
@@ -143,6 +145,23 @@ def test_q_order_one_clifford_part():
         if kept:
             got = got + SymbolExpr.term(mono, CliffordElement(kept))
     assert got == want
+
+
+@pytest.mark.parametrize("ctx", [INTERIOR, BOUNDARY], ids=lambda c: c.mode)
+def test_context_first_q_is_the_evaluated_generic_q(ctx):
+    # build_q_symbols(ctx) evaluates the connection atoms in sigma(D^2) and
+    # sigma(D) before Q is assembled; that must be the generic Q evaluated
+    assert build_q_symbols(ctx) == apply_context(build_q_symbols(), ctx)
+
+
+def test_generic_q_has_at_most_one_connection_atom_per_monomial():
+    # the property that lets the point context be applied before assembly:
+    # Q is linear in the connection atoms
+    q = build_q_symbols()
+    degrees = {sum(exp for atom, exp in mono if atom[0] in CONNECTION_KINDS)
+               for el in q.terms.values() for coeff in el.terms.values()
+               for mono in coeff.terms}
+    assert degrees == {0, 1}
 
 
 def test_fdh_square_matches_q_on_function_content():

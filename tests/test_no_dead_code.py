@@ -1,7 +1,7 @@
-"""The package holds only what the package uses: every function, method and
-class of ``src/wres6`` is named somewhere in ``src/wres6`` outside its own
-definition line, apart from the allow-listed names below, and every
-module-level import is used by the module that makes it."""
+"""The package holds only what the package uses: every function, method,
+class and module-level constant of ``src/wres6`` is read somewhere in
+``src/wres6`` outside its own definition, apart from the allow-listed names
+below, and every module-level import is used by the module that makes it."""
 
 import ast
 from pathlib import Path
@@ -24,17 +24,33 @@ ALLOWED = {
 }
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defined(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
+            if not _dunder(node.name):
                 yield node.name
+    for node in tree.body:  # module-level constants
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not _dunder(name.id):
+                    yield name.id
 
 
 def _used(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if not isinstance(node.ctx, ast.Store):  # an assignment is no use
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.alias):
@@ -75,6 +91,17 @@ def test_checker_sees_unused_definitions():
                "        return K\n",
                "def used():\n    return 1\n\ndef spare():\n    return 2\n"]
     assert unused_names(sources) == {"m", "spare"}
+
+
+def test_checker_sees_unused_module_constants():
+    sources = ["from .b import READ\n\n__version__ = '1'\nDIM = 6\n"
+               "ALIAS: type = tuple\nLO, HI = 0, 1\n\n"
+               "def f(x: ALIAS):\n    return READ + HI\n",
+               "from .a import f\n\nREAD = 2\n"
+               "DIM = 7  # rebinding a constant is no read of it\n\n"
+               "class K:\n    SLOT = 1  # not a module-level constant\n\n"
+               "f(K())\n"]
+    assert unused_names(sources) == {"DIM", "LO"}
 
 
 def test_every_module_import_is_used():
