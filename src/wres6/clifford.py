@@ -54,7 +54,7 @@ def mul_into(raw: dict, a: "CliffordElement", b: "CliffordElement",
             acc = raw.setdefault(w, {})
             k = scale if sign > 0 else -scale
             for m1, g1 in c1.terms.items():
-                g = g1 * k
+                g = g1 if k is G_ONE else g1 * k
                 for m2, g2 in c2.terms.items():
                     _accumulate(acc, _mono_mul(m1, m2), g * g2)
 

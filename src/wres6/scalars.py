@@ -706,41 +706,23 @@ def lap(u: ScalarExpr) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# Display grouping: rewrite sums of first/second derivative contractions in
-# terms of g(grad u, grad v), |grad u|^2 and lap(u) for a fixed dictionary of
-# f/h composites.  Display only; equality always runs on the expanded basis.
+# Display grouping: print the five basic sums |grad f|^2, g(grad f, grad h),
+# |grad h|^2, lap f and lap h, each times a prefactor, in the paper's
+# notation.  Display only; equality always runs on the expanded basis.
 
-
-def _grad_label(lu, lv):
-    return f"|grad[{lu}]|^2" if lu == lv else f"g(grad[{lu}],grad[{lv}])"
-
-
-def _solver_patterns():
-    """Ranked, low-degeneracy dictionary for the exact grouping solver.
-
-    Gradients of power composites are proportional to gradients of fh, so the
-    solver works over gradients of the basic functions plus Laplacians of
-    the basic functions and of the power composites; preference follows list
-    order.
-    """
-    f, h, fh = f_pow(1), h_pow(1), f_pow(1) * h_pow(1)
-    basics = [("f", f), ("h", h), ("fh", fh)]
-    composites = [
-        ("(fh)^-3f", f_pow(-2) * h_pow(-3)),
-        ("(fh)^-3", fh_pow(-3)),
-        ("(fh)^-2", fh_pow(-2)),
-        ("(fh)^-1", fh_pow(-1)),
-    ]
-    pats = []
-    for i, (lu, eu) in enumerate(basics):
-        for lv, ev in basics[i:]:
-            pats.append((_grad_label(lu, lv), grad_dot(eu, ev)))
-    for lu, eu in basics + composites:
-        pats.append((f"lap[{lu}]", lap(eu)))
-    return pats
-
-
-_SOLVER_PATTERNS = None
+# derivative part of the j-th term of each basic sum -> (rank, label, j);
+# rank is the print order
+_SUM_TERMS = {
+    term: (rank, label, j)
+    for j in range(1, 7)
+    for rank, (label, term) in enumerate((
+        ("|grad[f]|^2", ((("f", (j,)), 2),)),
+        ("g(grad[f],grad[h])", ((("f", (j,)), 1), (("h", (j,)), 1))),
+        ("|grad[h]|^2", ((("h", (j,)), 2),)),
+        ("lap[f]", ((("f", (j, j)), 1),)),
+        ("lap[h]", ((("h", (j, j)), 1),)),
+    ))
+}
 
 
 def _is_derivative_atom(atom) -> bool:
@@ -756,8 +738,8 @@ def _prefactor_split(mono):
     """Split a monomial into (prefactor part, derivative-atom part).
 
     The prefactor collects plain function powers and constant/geometric
-    atoms (pi, areas, curvature); only derivative atoms form the pattern
-    signature.
+    atoms (pi, areas, curvature); only derivative atoms decide which basic
+    sum a term belongs to.
     """
     base, rest = [], []
     for atom, exp in mono:
@@ -792,26 +774,38 @@ def _power_label(base_mono) -> str:
 
 
 def group_for_display(e: ScalarExpr) -> str:
-    """Best-effort grouped rendering of a canonical expression.
+    """Grouped rendering of a canonical expression.
 
-    Builds the candidate set "dictionary pattern times f/h-power prefactor"
-    suggested by the expression itself and solves for an exact combination
-    by row reduction; whatever cannot be expressed that way is rendered in
-    expanded form.  Display only; equality checks always run on the expanded
-    basis.
+    Terms of a basic sum that share a prefactor print as one piece when all
+    six coordinates carry the same coefficient; terms of no basic sum print
+    expanded after the pieces.  If any group is incomplete or uneven, the
+    whole expression prints expanded.  Display only; equality checks always
+    run on the expanded basis.
     """
     if e.is_zero():
         return "0"
-    pieces, remaining = _solve_grouping(e)
-    if remaining.terms:
-        tail = str(remaining)
-        pieces.append(("+" + tail) if not tail.startswith("-") else tail)
-    if not pieces:
-        return "0"
-    text = " ".join(pieces).strip()
-    if text.startswith("+"):
-        text = text[1:].lstrip()
-    return text
+    groups: dict = {}
+    rest = {}
+    for mono, coeff in e.terms.items():
+        pre, deriv = _prefactor_split(mono)
+        hit = _SUM_TERMS.get(deriv)
+        if hit is None:
+            rest[mono] = coeff
+            continue
+        rank, label, j = hit
+        _, coeffs = groups.setdefault((rank, pre), (label, {}))
+        coeffs[j] = coeff
+    pieces = []
+    for (_, pre), (label, coeffs) in sorted(groups.items()):
+        values = set(coeffs.values())
+        if len(coeffs) != 6 or len(values) != 1:
+            return str(e)
+        pieces.append(_format_piece(values.pop(), _power_label(pre), label))
+    if rest:
+        tail = str(ScalarExpr(rest))
+        pieces.append(tail if tail.startswith("-") else "+" + tail)
+    text = " ".join(pieces)
+    return text[1:] if text.startswith("+") else text
 
 
 def _format_piece(coeff: GaussRat, pre: str, label: str) -> str:
@@ -825,101 +819,3 @@ def _format_piece(coeff: GaussRat, pre: str, label: str) -> str:
     if cstr != "1":
         body = f"{cstr}*{body}"
     return ("-" if neg else "+") + body
-
-
-def _candidate_set(e: ScalarExpr):
-    """All (label, prefactor-shift, expanded pattern) hinted by e's terms."""
-    global _SOLVER_PATTERNS
-    if _SOLVER_PATTERNS is None:
-        _SOLVER_PATTERNS = _solver_patterns()
-    seen = set()
-    cands = []
-    for rank, (label, pat) in enumerate(_SOLVER_PATTERNS):
-        sigs = {}
-        for p_mono, _ in pat.sorted_terms():
-            pb, pr = _prefactor_split(p_mono)
-            sigs.setdefault(pr, pb)
-        for mono in e.terms:
-            base, rest = _prefactor_split(mono)
-            pb = sigs.get(rest)
-            if pb is None:
-                continue
-            shift = _mono_div(base, pb)
-            if shift is None:
-                continue
-            key = (label, shift)
-            if key in seen:
-                continue
-            seen.add(key)
-            shifted = ScalarExpr({shift: G_ONE}) * pat
-            cands.append((rank, label, shift, shifted))
-    cands.sort(key=lambda c: (c[0], c[2]))
-    return [(label, shift, pat) for _, label, shift, pat in cands]
-
-
-def _solve_grouping(e: ScalarExpr):
-    """Exact row-reduction solve of e over the candidate patterns.
-
-    Monomials no candidate can reach are split off as a residual before
-    solving; the system itself must then balance exactly or the whole
-    expression is left to the expanded rendering.
-    """
-    cands = _candidate_set(e)
-    if not cands:
-        return [], e
-    covered = {m for _, _, pat in cands for m in pat.terms}
-    residual = ScalarExpr({m: c for m, c in e.terms.items() if m not in covered})
-    target = ScalarExpr({m: c for m, c in e.terms.items() if m in covered})
-    if target.is_zero():
-        return [], e
-    monos = sorted(covered, key=_mono_key)
-    cols = len(cands)
-    rows = []
-    for m in monos:
-        row = [pat.terms.get(m, G_ZERO) for _, _, pat in cands]
-        row.append(target.terms.get(m, G_ZERO))
-        rows.append(row)
-    # row reduce
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = G_ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    # inconsistent?
-    for i in range(r, len(rows)):
-        if rows[i][cols]:
-            return [], e
-    coeffs = [G_ZERO] * cols
-    for row_i, c in enumerate(pivot_cols):
-        coeffs[c] = rows[row_i][cols]
-    pieces = []
-    for (label, shift, _), coeff in zip(cands, coeffs):
-        if not coeff:
-            continue
-        pieces.append(_format_piece(coeff, _power_label(shift), label))
-    return pieces, residual
-
-
-def _mono_div(mono, by):
-    acc = {a: e for a, e in mono}
-    for atom, exp in by:
-        acc[atom] = acc.get(atom, 0) - exp
-    for atom, exp in list(acc.items()):
-        if exp == 0:
-            del acc[atom]
-        elif _is_derivative_atom(atom):
-            return None
-    return tuple(sorted(acc.items(), key=lambda ae: _atom_key(ae[0])))
-

@@ -35,6 +35,9 @@ def test_verify_all_json_matches_golden(capsys):
     "verify all --format json --specialize f=u^2,h=u^-2",
     "verify all --format text --specialize f=u^-1,h=u^2 "
     "--ledger perfbench/data/empty_ledger.json",
+    "verify all --format text",
+    "verify all --format text --specialize fh=1 "
+    "--ledger perfbench/data/empty_ledger.json",
 ])
 def test_report_matches_golden_digest(argv, capsys, monkeypatch):
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))["outputs"][argv]

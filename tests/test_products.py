@@ -180,3 +180,23 @@ def test_memoized_monomial_product_matches_the_function():
     for _ in range(400):
         m1, m2 = r.choice(monos), r.choice(monos)
         assert _mono_mul(m1, m2) == _mono_mul.__wrapped__(m1, m2)
+
+
+def test_unit_scale_costs_no_coefficient_product(monkeypatch):
+    # on the empty word the sign is +1 and the scale is 1, so an n-monomial
+    # by m-monomial product takes exactly n*m GaussRat products
+    a = CliffordElement.identity(f_pow(1) + h_pow(-1) + wp() + fh_pow(-2))
+    b = CliffordElement.identity(s_atom() + ScalarExpr.atom(("f", (1,)), 1, G_I))
+    want = ref_clifford_mul(a, b)
+    calls = []
+    mul = GaussRat.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(GaussRat, "__mul__", counting_mul)
+    got = a * b
+    monkeypatch.undo()
+    assert len(calls) == 4 * 2
+    assert got == want

@@ -22,7 +22,7 @@ from wres6.scalars import (
     wp,
 )
 
-from oracles import to_complex
+from oracles import _solver_patterns, rref_grouping, to_complex
 
 rng = random.Random(20240811)
 
@@ -337,11 +337,42 @@ def test_evaluation_commutes_with_operations():
 def test_group_display_gradient_square():
     e = fh_pow(-6) * f_pow(2) * sc(-2) * _grad(h_pow(1), h_pow(1))
     assert group_for_display(e) == "-2*(fh)^-6*f^2*|grad[h]|^2"
+    # a sum missing one coordinate stays expanded
+    f = f_pow(1)
+    e = sum((fh_pow(-2) * f.derive_x(j) * f.derive_x(j) for j in range(1, 6)),
+            ScalarExpr.zero())
+    assert group_for_display(e) == (
+        "f^-2*d[1]f^2*h^-2 + f^-2*d[2]f^2*h^-2 + f^-2*d[3]f^2*h^-2"
+        " + f^-2*d[4]f^2*h^-2 + f^-2*d[5]f^2*h^-2")
+    # a complete group prints grouped beside a term of no group
+    e = fh_pow(-1) * _grad(f, h_pow(1)) + sc(-1, 2) * fh_pow(-2) * s_atom()
+    assert group_for_display(e) == (
+        "(fh)^-1*g(grad[f],grad[h]) -(1/2)*f^-2*h^-2*s")
 
 
 def test_group_display_laplacian():
     e = _lap(h_pow(1))
     assert group_for_display(e) == "lap[h]"
+    # unequal coefficients across the coordinates stay expanded
+    h = h_pow(1)
+    e = sum((sc(j) * h.derive_x(j).derive_x(j) for j in range(1, 7)),
+            ScalarExpr.zero())
+    assert group_for_display(e) == (
+        "d[1,1]h + 2*d[2,2]h + 3*d[3,3]h + 4*d[4,4]h + 5*d[5,5]h"
+        " + 6*d[6,6]h")
+    assert group_for_display(_lap(fh_pow(-2))) == (
+        "6*(fh)^-4*h^2*|grad[f]|^2 +8*(fh)^-3*g(grad[f],grad[h])"
+        " +6*(fh)^-4*f^2*|grad[h]|^2 -2*(fh)^-3*h*lap[f]"
+        " -2*(fh)^-3*f*lap[h]")
+    # u atoms belong to no group
+    e = _lap(u_pow(3)) + _grad(u_pow(2), u_pow(-1))
+    assert group_for_display(e) == (
+        "-2*u^-1*d[1]u^2 - 2*u^-1*d[2]u^2 - 2*u^-1*d[3]u^2"
+        " - 2*u^-1*d[4]u^2 - 2*u^-1*d[5]u^2 - 2*u^-1*d[6]u^2"
+        " + 6*u*d[1]u^2 + 6*u*d[2]u^2 + 6*u*d[3]u^2"
+        " + 6*u*d[4]u^2 + 6*u*d[5]u^2 + 6*u*d[6]u^2"
+        " + 3*u^2*d[1,1]u + 3*u^2*d[2,2]u + 3*u^2*d[3,3]u"
+        " + 3*u^2*d[4,4]u + 3*u^2*d[5,5]u + 3*u^2*d[6,6]u")
 
 
 def test_group_display_roundtrip_equivalence():
@@ -354,6 +385,32 @@ def test_group_display_roundtrip_equivalence():
                + fh_pow(-3) * sc(-6) * _grad(f_pow(1), h_pow(1))
                + fh_pow(-4) * f_pow(2) * sc(-3) * _grad(h_pow(1), h_pow(1)))
     assert rebuilt == original
+
+
+def test_group_display_matches_row_reduction_oracle():
+    # patterns of the old composite dictionary times f/h/constant
+    # prefactors; half the cases get terms that break the grouping
+    local = random.Random(2020)
+    patterns = [pat for _, pat in _solver_patterns()]
+    extras = [area_s6(), pi_atom(), s_atom(), wp()]
+    noise = [dfunc("f", 1) * dfunc("f", 1), dfunc("h", 2, 2),
+             dfunc("f", 3) * dfunc("h", 3), dfunc("f", 1) * dfunc("h", 2),
+             dfunc("f", 1, 2), s_atom(), ScalarExpr.atom(("s", (4,)))]
+    for n in range(60):
+        e = ScalarExpr.zero()
+        for _ in range(local.randint(1, 3)):
+            pre = (f_pow(local.randint(-4, 2)) * h_pow(local.randint(-4, 2))
+                   * sc(local.randint(-9, 9) or 1, local.randint(1, 4)))
+            for x in local.sample(extras, local.randint(0, 2)):
+                pre = pre * x
+            if local.random() < 0.2:
+                pre = pre * GaussRat(0, 1)
+            e = e + pre * local.choice(patterns)
+        if n % 2:
+            for _ in range(local.randint(1, 2)):
+                e = e + (fh_pow(local.randint(-3, 0)) * local.choice(noise)
+                         * sc(local.randint(1, 5)))
+        assert group_for_display(e) == rref_grouping(e)
 
 
 def _grad(u, v):
