@@ -9,7 +9,8 @@ canonical word to 0.
 ``CliffordElement`` is a ``scalars.SparseSum`` (word -> ScalarExpr), which
 holds its storage and its linear structure; this module adds the product.
 Every product adds into a raw ``{word: {monomial: GaussRat}}`` dict
-(``mul_into``), and each ``ScalarExpr`` is built once (``raw_element``).
+(``mul_into``), whose parts are ints wherever they are integral, and each
+``ScalarExpr`` is built once (``raw_element``).
 
 ``matrix_oracle`` returns six concrete 8x8 matrices over exact Gaussian
 rationals satisfying the same relations; tests use it as an independent
@@ -60,8 +61,8 @@ def mul_into(raw: dict, a: "CliffordElement", b: "CliffordElement",
 
 
 def raw_element(raw: dict) -> "CliffordElement":
-    """The element of a {word: {monomial: GaussRat}} dict."""
-    return CliffordElement({w: ScalarExpr(t) for w, t in raw.items()})
+    """The element of a {word: {monomial: nonzero GaussRat}} dict."""
+    return CliffordElement({w: ScalarExpr._adopt(t) for w, t in raw.items()})
 
 
 class CliffordElement(SparseSum):

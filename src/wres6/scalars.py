@@ -14,8 +14,9 @@ Gaussian-rational coefficients.  A monomial is a multiset of atoms:
   order-0 symbol, and the constants ``S6`` (area of the unit 5-sphere in R^6),
   ``Om4`` (area of the unit 4-sphere in R^5) and ``pi``.
 
-Arithmetic is exact; no floating point is ever produced here.  All values are
-immutable after construction, so expressions are safe to share freely.
+Arithmetic is exact and never produces a float: each part of a Gaussian
+rational is an ``int`` when integral and a ``Fraction`` otherwise.  All values
+are immutable after construction, so expressions are safe to share freely.
 
 ``SparseSum`` holds the storage and the linear structure (an immutable
 ``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) of five
@@ -36,13 +37,13 @@ MAX_DERIV_ORDER = 2
 
 
 class GaussRat:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex a + b*i: each part an int, or a non-integral Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "re", _part(re))
+        object.__setattr__(self, "im", _part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -50,14 +51,14 @@ class GaussRat:
     def __add__(self, other):
         other = as_gauss(other)
         if not self.im and not other.im:
-            return _gauss(self.re + other.re, _F0)
+            return _gauss(self.re + other.re, 0)
         return _gauss(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
         if not self.im:
-            return _gauss(-self.re, _F0)
+            return _gauss(-self.re, 0)
         return _gauss(-self.re, -self.im)
 
     def __sub__(self, other):
@@ -70,15 +71,15 @@ class GaussRat:
         other = as_gauss(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         # the coefficients this computation builds are real or imaginary, so
-        # most products need one Fraction product instead of four
+        # most products need one product of parts instead of four
         if not b and not d:
-            return _gauss(a * c, _F0)
+            return _gauss(a * c, 0)
         if not a and not c:
-            return _gauss(-(b * d), _F0)
+            return _gauss(-(b * d), 0)
         if not b and not c:
-            return _gauss(_F0, a * d)
+            return _gauss(0, a * d)
         if not a and not d:
-            return _gauss(_F0, b * c)
+            return _gauss(0, b * c)
         return _gauss(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -88,9 +89,10 @@ class GaussRat:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
+        # through Fraction, so that int parts never divide into a float
         return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            Fraction(self.re * other.re + self.im * other.im, n),
+            Fraction(self.im * other.re - self.re * other.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -150,16 +152,24 @@ def as_gauss(x) -> GaussRat:
     raise TypeError(f"cannot coerce {x!r} to GaussRat")
 
 
-_F0 = Fraction(0)
-_new_gauss = object.__new__
+_new_object = object.__new__
 _set_slot = object.__setattr__
 
 
-def _gauss(re: Fraction, im: Fraction) -> GaussRat:
-    """Build a GaussRat from two Fractions without re-checking their type."""
-    g = _new_gauss(GaussRat)
-    _set_slot(g, "re", re)
-    _set_slot(g, "im", im)
+def _part(x) -> int | Fraction:
+    """x in canonical form: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _gauss(re: int | Fraction, im: int | Fraction) -> GaussRat:
+    """A GaussRat of computed parts, with an integral Fraction made an int."""
+    g = _new_object(GaussRat)
+    _set_slot(g, "re", re if type(re) is int or re.denominator != 1 else re.numerator)
+    _set_slot(g, "im", im if type(im) is int or im.denominator != 1 else im.numerator)
     return g
 
 
@@ -257,9 +267,9 @@ class SparseSum:
 
     The storage and the linear structure of five containers:
     ``ScalarExpr``, ``CliffordElement``, ``SymbolExpr``, ``XiRat`` and
-    ``BoundaryExpr``.  Construction drops falsy values, so equal sums have
-    equal dicts and ``==`` is a dict compare.  Subclasses add their
-    products and their printing.
+    ``BoundaryExpr``.  Construction drops falsy values (``_adopt`` takes a
+    dict that has none), so equal sums have equal dicts and ``==`` is a dict
+    compare.  Subclasses add their products and their printing.
     """
 
     __slots__ = ("terms",)
@@ -271,6 +281,13 @@ class SparseSum:
                 if value:
                     clean[key] = value
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _adopt(cls, clean: dict):
+        """The sum of a dict that holds no falsy value, taken without a copy."""
+        s = _new_object(cls)
+        _set_slot(s, "terms", clean)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -285,10 +302,10 @@ class SparseSum:
         out = dict(self.terms)
         for key, value in other.terms.items():
             _accumulate(out, key, value)
-        return type(self)(out)
+        return type(self)._adopt(out)
 
     def __neg__(self):
-        return type(self)({key: -value for key, value in self.terms.items()})
+        return type(self)._adopt({key: -value for key, value in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -354,10 +371,7 @@ class ScalarExpr(SparseSum):
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            _accumulate(out, mono, c)
-        return ScalarExpr(out)
+        return SparseSum.__add__(self, other)
 
     __radd__ = __add__
 
@@ -372,7 +386,7 @@ class ScalarExpr(SparseSum):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _accumulate(out, _mono_mul(m1, m2), c1 * c2)
-        return ScalarExpr(out)
+        return ScalarExpr._adopt(out)
 
     __rmul__ = __mul__
 

@@ -9,6 +9,8 @@ reads no frozen value, so a dropped or extra i in a symbol the pipeline
 builds, or in a printed line, fails it on its own.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from wres6 import tables
@@ -20,7 +22,7 @@ from wres6.calculus import (
     interior_parametrix,
     qinv_square_sigma6,
 )
-from wres6.scalars import G_I
+from wres6.scalars import G_I, GaussRat
 from wres6.symbols import BOUNDARY, INTERIOR, SymbolExpr, xim_degree
 
 
@@ -63,6 +65,41 @@ def test_symbol_is_real_up_to_its_degree_phase(name):
     assert any(symbols)  # printed line 19 is zero on its own
     for S in symbols:
         assert grading_violations(S) == []
+
+
+def non_canonical_parts(coeffs):
+    """Parts that are not an int or a Fraction with denominator > 1: a float,
+    or an integral Fraction that should have been stored as an int."""
+    return [part for g in coeffs for part in (g.re, g.im)
+            if not (type(part) is int
+                    or (type(part) is Fraction and part.denominator > 1))]
+
+
+@pytest.mark.parametrize("name", SYMBOLS)
+def test_symbol_coefficient_parts_are_canonical(name):
+    for S in SYMBOLS[name]():
+        coeffs = [g for *_, g in entries(S)]
+        assert all(coeffs)  # sums built without a copy keep no zero entry
+        assert non_canonical_parts(coeffs) == []
+
+
+def test_phi_case_value_parts_are_canonical():
+    for case in CASE_DATA:
+        assert non_canonical_parts(phi_case_value(case).terms.values()) == []
+
+
+def _raw_gauss(re, im):
+    """A GaussRat with its parts set as given, bypassing normalization."""
+    g = object.__new__(GaussRat)
+    object.__setattr__(g, "re", re)
+    object.__setattr__(g, "im", im)
+    return g
+
+
+def test_canonical_check_flags_a_float_and_an_integral_fraction():
+    assert non_canonical_parts([GaussRat(1), GaussRat(0, Fraction(2, 3))]) == []
+    bad = [_raw_gauss(0.5, 0), _raw_gauss(Fraction(3, 1), Fraction(1, 2))]
+    assert [type(p) for p in non_canonical_parts(bad)] == [float, Fraction]
 
 
 def test_phi_case_values_are_real():

@@ -165,7 +165,7 @@ def _ref_pow(x, k):
 
 def _pair(v):
     if isinstance(v, GaussRat):
-        return (v.re, v.im)
+        return (Fraction(v.re), Fraction(v.im))
     return (Fraction(v), Fraction(0))
 
 
@@ -187,9 +187,15 @@ def _rand_operand(local):
     return q()
 
 
+def _assert_canonical(part):
+    """An int exactly when integral, else a Fraction with denominator > 1."""
+    assert type(part) is int or (type(part) is Fraction and part.denominator > 1)
+
+
 def _assert_gauss(got, want):
     assert type(got) is GaussRat
-    assert type(got.re) is Fraction and type(got.im) is Fraction
+    _assert_canonical(got.re)
+    _assert_canonical(got.im)
     assert (got.re, got.im) == want
 
 
@@ -221,13 +227,37 @@ def test_gaussrat_ops_match_fraction_pair_reference():
                 _assert_gauss(g ** k, _ref_pow(pg, k))
 
 
-def test_gaussrat_constructor_keeps_fraction_type():
-    for re, im in ((3, 0), (Fraction(1, 2), -4), (0, Fraction(-5, 3)), (True, 0)):
+def test_gaussrat_constructor_makes_parts_canonical():
+    for re, im in ((3, 0), (Fraction(1, 2), -4), (0, Fraction(-5, 3)), (True, 0),
+                   (Fraction(6, 3), Fraction(-4, 1))):
         g = GaussRat(re, im)
-        assert type(g.re) is Fraction and type(g.im) is Fraction
+        _assert_canonical(g.re)
+        _assert_canonical(g.im)
         assert (g.re, g.im) == (Fraction(re), Fraction(im))
-    assert repr(GaussRat(2) * GaussRat(3)) == "GaussRat(Fraction(6, 1), Fraction(0, 1))"
+    assert repr(GaussRat(2) * GaussRat(3)) == "GaussRat(6, 0)"
     assert str(GaussRat(Fraction(1, 2)) + GaussRat(0, 1)) == "(1/2+i)"
+
+
+def test_int_parts_never_divide_into_a_float():
+    local = random.Random(29)
+
+    def value():
+        return local.randint(-6, 6) or 1
+
+    for _ in range(300):
+        x = GaussRat(value(), local.choice([0, value()]))
+        y = GaussRat(*local.choice([(value(), 0), (0, value()), (value(), value())]))
+        _assert_gauss(x / y, _ref_div(_pair(x), _pair(y)))
+        n = value()
+        _assert_gauss(n / y, _ref_div(_pair(n), _pair(y)))
+        k = local.randint(-4, -1)
+        _assert_gauss(y ** k, _ref_pow(_pair(y), k))
+        inv = ScalarExpr.atom(("f", ()), local.randint(-3, 3) or 1, y).inverse_monomial()
+        (_, coeff), = inv.terms.items()
+        _assert_gauss(coeff, _ref_div((Fraction(1), Fraction(0)), _pair(y)))
+        n, d = local.randint(-12, 12), local.randint(1, 6)
+        c = sc(n, d).terms.get((), GaussRat(0))
+        _assert_gauss(c, (Fraction(n, d), Fraction(0)))
 
 
 def test_gaussrat_hash_agrees_with_equality():
