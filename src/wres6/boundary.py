@@ -1,23 +1,25 @@
-"""Boundary engine: xi_n-rational calculus, projections, and the five cases.
+"""Boundary engine: eta_n-rational calculus, projections, and the five cases.
 
+Symbols are stored in the real gauge of the ``symbols`` module, xi = -i eta.
 On the boundary slice |xi'| = 1 every integrand is a rational function of
-xi_n with poles only at +-i and coefficients in the scalar ring (tensored
-with the Gaussian rationals), times a tangential monomial and a Clifford
-word.  ``XiRat`` keeps such a function as its partial-fraction expansion
-over xi_n^k, (xi_n - i)^-k and (xi_n + i)^-k.  The expansion is unique, so
-equal values have equal terms, and each operation is a rule on the terms:
-d/dxi_n acts term by term, the projection onto the principal part at +i
-(the content of the upper half-plane projection on rational symbols) keeps
-the (xi_n - i)^-k terms, and the closed contour integral around +i reads
-the (xi_n - i)^-1 coefficient.  ``XiRat`` and ``BoundaryExpr`` are
-``scalars.SparseSum``s, which hold their storage and their linear
-structure; this module adds their products and the xi_n calculus.
+eta_n = i xi_n with poles only at eta_n = -1 and +1 (the images of xi_n = +i
+and -i) and coefficients in the scalar ring, times a tangential monomial and
+a Clifford word.  ``XiRat`` keeps such a function as its partial-fraction
+expansion over eta_n^k, (eta_n + 1)^-k and (eta_n - 1)^-k.  The expansion is
+unique, so equal values have equal terms, and each operation is a rule on
+the terms: d/deta_n acts term by term, the projection onto the principal
+part at eta_n = -1 (the content of the upper half-plane projection on
+rational symbols) keeps the (eta_n + 1)^-k terms, and the line integral
+over xi_n is 2 pi times the (eta_n + 1)^-1 coefficient.  ``XiRat`` and
+``BoundaryExpr`` are ``scalars.SparseSum``s, which hold their storage and
+their linear structure; this module adds their products and the eta_n
+calculus.
 
 The five boundary contributions are assembled from their definitions: the
 (r, l, j, k, alpha) data fixes which derivatives hit the projected factor
 and which hit the plain factor, the spinor trace removes Clifford content,
 odd tangential monomials integrate to zero and even ones to exact multiples
-of the S^4 volume, and the xi_n line integral is evaluated by residues.
+of the S^4 volume, and the line integral is evaluated by residues.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .calculus import build_q_symbols, invert_symbol
 from .clifford import TRACE_ID, _merge_words, word_str
 from .interior import sphere_moment
 from .scalars import (
-    G_I,
-    G_ONE,
-    GaussRat,
     ScalarExpr,
     SparseSum,
     _accumulate,
     _as_scalar,
+    _mono_mul,
     omega4,
     pi_atom,
     sc,
@@ -56,10 +56,9 @@ class DecayError(ValueError):
 # ---------------------------------------------------------------------------
 # XiRat
 
-# A basis element (s, k) is xi_n^k for s = 0 (k >= 0) and (xi_n - s i)^-k
+# A basis element (s, k) is eta_n^k for s = 0 (k >= 0) and (eta_n + s)^-k
 # for s = +1 or -1 (k >= 1).
 _UNIT = (0, 0)
-_HALF_OVER_I = GaussRat(0, Fraction(-1, 2))     # 1/(2i)
 
 
 def _pole(s: int, k: int) -> tuple:
@@ -68,23 +67,23 @@ def _pole(s: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _basis_mul(u: tuple, v: tuple) -> tuple:
-    """The product of two basis elements as ((basis, GaussRat), ...).
+    """The product of two basis elements as ((basis, rational), ...).
 
-    Uses xi (xi - p)^-k = (xi - p)^-(k-1) + p (xi - p)^-k and
-    1/((xi - i)(xi + i)) = (1/2i) [1/(xi - i) - 1/(xi + i)].
+    Uses eta (eta + s)^-k = (eta + s)^-(k-1) - s (eta + s)^-k and
+    1/((eta + 1)(eta - 1)) = 1/2 [1/(eta - 1) - 1/(eta + 1)].
     """
     if u == _UNIT or v == _UNIT:
-        return ((v if u == _UNIT else u, G_ONE),)
+        return ((v if u == _UNIT else u, 1),)
     if u[0] == v[0]:
-        return (((u[0], u[1] + v[1]), G_ONE),)
+        return (((u[0], u[1] + v[1]), 1),)
     if u[0] and v[0]:
-        (_, a), (_, b) = sorted((u, v), reverse=True)   # (xi-i)^-a (xi+i)^-b
-        parts = ((_HALF_OVER_I, (1, a), _pole(-1, b - 1)),
-                 (-_HALF_OVER_I, _pole(1, a - 1), (-1, b)))
+        (_, a), (_, b) = sorted((u, v), reverse=True)   # (eta+1)^-a (eta-1)^-b
+        parts = ((Fraction(-1, 2), (1, a), _pole(-1, b - 1)),
+                 (Fraction(1, 2), _pole(1, a - 1), (-1, b)))
     else:
-        (_, m), (t, k) = sorted((u, v), key=lambda e: e[0] != 0)  # xi^m (xi - t i)^-k
-        parts = ((G_ONE, (0, m - 1), _pole(t, k - 1)),
-                 (GaussRat(0, t), (0, m - 1), (t, k)))
+        (_, m), (t, k) = sorted((u, v), key=lambda e: e[0] != 0)  # eta^m (eta + t)^-k
+        parts = ((1, (0, m - 1), _pole(t, k - 1)),
+                 (-t, (0, m - 1), (t, k)))
     out: dict = {}
     for c, x, y in parts:
         for w, d in _basis_mul(x, y):
@@ -92,8 +91,27 @@ def _basis_mul(u: tuple, v: tuple) -> tuple:
     return tuple(out.items())
 
 
+def _xirat_mul_into(raw: dict, a: "XiRat", b: "XiRat", scale=1) -> None:
+    """Add scale * a * b into ``raw``, a {basis: {monomial: rational}} dict."""
+    for u, c in a.terms.items():
+        for v, d in b.terms.items():
+            for w, g in _basis_mul(u, v):
+                acc = raw.setdefault(w, {})
+                g *= scale
+                unit = g == 1
+                for m1, g1 in c.terms.items():
+                    k = g1 if unit else g1 * g
+                    for m2, g2 in d.terms.items():
+                        _accumulate(acc, _mono_mul(m1, m2), k * g2)
+
+
+def _raw_xirat(raw: dict) -> "XiRat":
+    """The XiRat of a {basis: {monomial: nonzero rational}} dict."""
+    return XiRat({w: ScalarExpr._adopt(t) for w, t in raw.items()})
+
+
 class XiRat(SparseSum):
-    """A rational function of xi_n with poles only at +-i, kept as its
+    """A rational function of eta_n with poles only at -1 and +1, kept as its
     partial-fraction expansion ``terms: {(s, k): ScalarExpr}`` (see
     ``_basis_mul`` for the basis)."""
 
@@ -109,7 +127,7 @@ class XiRat(SparseSum):
 
     @staticmethod
     def ratio(num, a: int = 0, b: int = 0) -> "XiRat":
-        """num(xi_n) / ((xi_n - i)^a (xi_n + i)^b), num ascending in xi_n."""
+        """num(eta_n) / ((eta_n + 1)^a (eta_n - 1)^b), num ascending in eta_n."""
         if a < 0 or b < 0:
             raise ValueError("pole orders must be nonnegative")
         poly = XiRat({(0, k): _as_scalar(c) for k, c in enumerate(num)})
@@ -118,26 +136,22 @@ class XiRat(SparseSum):
 
     @staticmethod
     def inv_norm(p: int) -> "XiRat":
-        """(1 + xi_n^2)^(-p) for p >= 0."""
+        """(eta_n^2 - 1)^(-p) for p >= 0."""
         return XiRat.ratio((ScalarExpr.one(),), p, p)
 
     def __mul__(self, other: "XiRat") -> "XiRat":
         if not isinstance(other, XiRat):
             return NotImplemented
-        out: dict = {}
-        for u, c in self.terms.items():
-            for v, d in other.terms.items():
-                cd = c * d
-                for w, g in _basis_mul(u, v):
-                    _accumulate(out, w, cd * g)
-        return XiRat(out)
+        raw: dict = {}
+        _xirat_mul_into(raw, self, other)
+        return _raw_xirat(raw)
 
     def scale(self, e) -> "XiRat":
         e = _as_scalar(e)
         return XiRat({key: c * e for key, c in self.terms.items()})
 
     def derive(self) -> "XiRat":
-        """d/dxi_n, term by term."""
+        """d/deta_n, term by term."""
         out = {}
         for (s, k), c in self.terms.items():
             if s:
@@ -149,45 +163,21 @@ class XiRat(SparseSum):
     # -- the upper-half-plane data ------------------------------------------
 
     def pi_plus(self) -> "XiRat":
-        """Principal part at xi_n = +i (poles at -i and polynomials die)."""
+        """Principal part at eta_n = -1, which is xi_n = +i (poles at +1 and
+        polynomials die)."""
         return XiRat({key: c for key, c in self.terms.items() if key[0] == 1})
-
-    def residue_at_i(self) -> ScalarExpr:
-        return self.terms.get((1, 1), ScalarExpr.zero())
 
     def decays(self) -> bool:
         return all(s for s, _ in self.terms)
 
     def contour_integral(self) -> ScalarExpr:
-        """Closed-contour integral around +i: 2 pi i x residue.
-
-        Equals the real-line integral for decaying integrands with poles
-        only at +-i.  Returns a ScalarExpr multiple of the pi atom.
+        """The line integral over xi_n, 2 pi i Res_{xi_n = i}, which is
+        2 pi Res_{eta_n = -1}.  Valid for decaying integrands; returns a
+        ScalarExpr multiple of the pi atom.
         """
         if not self.decays():
             raise DecayError("integrand does not decay at infinity")
-        res = self.residue_at_i()
-        return res * ScalarExpr.const(GaussRat(2) * G_I) * pi_atom()
-
-    def contour_integral_cauchy(self) -> ScalarExpr:
-        """Independent route: (2 pi i/(a-1)!) d^(a-1)/dxi^(a-1)[(xi-i)^a r] at i."""
-        if not self.decays():
-            raise DecayError("integrand does not decay at infinity")
-        a = max((k for s, k in self.terms if s == 1), default=0)
-        if a == 0:
-            return ScalarExpr.zero()
-        g = self * XiRat({(0, j): ScalarExpr.const(comb(a, j) * (-G_I) ** (a - j))
-                          for j in range(a + 1)})
-        for _ in range(a - 1):
-            g = g.derive()
-        # (xi - i)^a r has no pole at +i: xi^k -> i^k, (xi + i)^-k -> (2i)^-k
-        val = ScalarExpr.zero()
-        for (s, k), c in g.terms.items():
-            if s == 1:
-                raise ValueError("(xi_n - i)^a r keeps a pole at +i")
-            val = val + c * (G_I ** k if s == 0 else GaussRat(0, 2) ** -k)
-        scale = GaussRat(2) * G_I / GaussRat(factorial(a - 1))
-        return val * ScalarExpr.const(scale) * pi_atom()
+        return self.terms.get((1, 1), ScalarExpr.zero()) * sc(2) * pi_atom()
 
     def __str__(self):
         if not self.terms:
@@ -195,9 +185,9 @@ class XiRat(SparseSum):
         parts = []
         for (s, k), c in sorted(self.terms.items()):
             if s:
-                base = f"(xin{'-' if s > 0 else '+'}i)^-{k}"
+                base = f"(etan{'+' if s > 0 else '-'}1)^-{k}"
             else:
-                base = "1" if k == 0 else ("xin" if k == 1 else f"xin^{k}")
+                base = "1" if k == 0 else ("etan" if k == 1 else f"etan^{k}")
             parts.append(f"({c})*{base}")
         return " + ".join(parts)
 
@@ -207,36 +197,53 @@ class XiRat(SparseSum):
 
 
 class BoundaryExpr(SparseSum):
-    """Symbol content on the slice |xi'| = 1 with free xi_n:
-    ``terms: {(tangential xi exponents, Clifford word): XiRat}``."""
+    """Symbol content on the slice |xi'| = 1 with free eta_n:
+    ``terms: {(tangential xi exponents, Clifford word): XiRat}``.
+
+    A term of odd tangential degree t carries one implicit factor i: the
+    restriction of a real-gauge term is i^t times a real function of eta_n.
+    Such terms integrate to zero over the tangential sphere.
+    """
 
     __slots__ = ()
 
     @staticmethod
     def from_symbol(S: SymbolExpr) -> "BoundaryExpr":
-        """Restrict to |xi'| = 1: |xi|^2 -> 1 + xi_n^2, xi_n powers folded in."""
+        """Restrict to |xi'| = 1.
+
+        A stored term r eta^e |eta|^(2p) is c xi^e |xi|^(2p) with c = i^deg r;
+        at |xi'| = 1 with xi_n = -i eta_n it is i^t r eta_n^e_n (eta_n^2 - 1)^p,
+        t the tangential degree.  The sign (-1)^(t // 2) is folded in and
+        i^(t % 2) stays implicit.
+        """
         out: dict = {}
         for (exps, p), el in S.terms.items():
             xp = tuple(exps[:N_COORD - 1])
             n_pow = exps[N_COORD - 1]
             if p >= 0:
-                norm = XiRat({(0, 2 * k): sc(comb(p, k)) for k in range(p + 1)})
+                norm = XiRat({(0, 2 * k): sc(comb(p, k) * (-1) ** (p - k))
+                              for k in range(p + 1)})
             else:
                 norm = XiRat.inv_norm(-p)
             base = XiRat.xin(n_pow) * norm
+            if sum(xp) // 2 % 2:
+                base = -base
             for w, coeff in el.terms.items():
                 _accumulate(out, (xp, w), base.scale(coeff))
         return BoundaryExpr(out)
 
     def mul(self, other: "BoundaryExpr") -> "BoundaryExpr":
-        out: dict = {}
+        """The product; two implicit factors i make the sign -1."""
+        raw: dict = {}
         for (xp1, w1), r1 in self.terms.items():
+            odd = sum(xp1) % 2
             for (xp2, w2), r2 in other.terms.items():
                 sign, w = _merge_words(w1, w2)
+                if odd and sum(xp2) % 2:
+                    sign = -sign
                 xp = tuple(a + b for a, b in zip(xp1, xp2))
-                rat = r1 * r2
-                _accumulate(out, (xp, w), -rat if sign < 0 else rat)
-        return BoundaryExpr(out)
+                _xirat_mul_into(raw.setdefault((xp, w), {}), r1, r2, sign)
+        return BoundaryExpr({key: _raw_xirat(r) for key, r in raw.items()})
 
     def derive_xin(self) -> "BoundaryExpr":
         return BoundaryExpr({k: r.derive() for k, r in self.terms.items()})
@@ -311,8 +318,6 @@ def phi_case_value(case: str) -> ScalarExpr:
     data = CASE_DATA[case]
     r, l, j, k, nalpha = data["r"], data["l"], data["j"], data["k"], data["nalpha"]
     par = boundary_parametrix()
-    prefactor = ((-G_I) ** (nalpha + j + k + 1)
-                 * GaussRat(Fraction(1, factorial(j + k + 1))))
 
     alphas = [()] if nalpha == 0 else [(a,) for a in range(1, N_COORD)]
     total = XiRat.zero()
@@ -337,8 +342,9 @@ def phi_case_value(case: str) -> ScalarExpr:
 
         total = total + left.mul(right).trace().integrate_tangential()
 
-    line_integral = total.contour_integral()
-    return line_integral * ScalarExpr.const(prefactor)
+    # in xi the prefactor is (-i)^(|alpha| + j + k + 1) / (j + k + 1)!; each
+    # of those xi-derivatives is taken in eta, which is -i d/dxi
+    return total.contour_integral() * sc(1, factorial(j + k + 1))
 
 
 def phi_case(case: str, specialize=None, ledger=None) -> BoundaryCaseResult:

@@ -41,8 +41,6 @@ from itertools import product
 
 from .clifford import _merge_words, c_of_d, raw_element
 from .scalars import (
-    G_I,
-    ScalarExpr,
     _accumulate,
     curv0,
     f_pow,
@@ -77,9 +75,10 @@ class RouteDisagreement(RuntimeError):
 
 
 def build_d_symbols() -> SymbolExpr:
-    """sigma(D): order 1 is i c(xi); order 0 the frame-connection cubic
-    -1/4 omega_{s,t}(e_i) c_i c_s c_t, summed into one raw dict."""
-    order1 = SymbolExpr.xi_covector().scale(ScalarExpr.const(G_I))
+    """sigma(D): order 1 is i c(xi), stored in the real gauge as c(xi);
+    order 0 the frame-connection cubic -1/4 omega_{s,t}(e_i) c_i c_s c_t,
+    summed into one raw dict."""
+    order1 = SymbolExpr.xi_covector()
     raw: dict = {}
     for i, s, t in product(range(1, 7), repeat=3):
         sign_is, w_is = _merge_words((i,), (s,))
@@ -91,10 +90,10 @@ def build_d_symbols() -> SymbolExpr:
 
 
 def build_d2_symbols() -> SymbolExpr:
-    """sigma(D^2): |xi|^2 + i(Gam^mu - 2 sig^mu) xi_mu + (curv0 + s/4)."""
-    i_const = ScalarExpr.const(G_I)
-    return (SymbolExpr.norm_sq(1)
-            + xi_linear(lambda mu: (gam(mu) - sc(2) * sig(mu)) * i_const)
+    """sigma(D^2): |xi|^2 + i(Gam^mu - 2 sig^mu) xi_mu + (curv0 + s/4), in
+    the real gauge -|xi|^2 + (Gam^mu - 2 sig^mu) xi_mu + (curv0 + s/4)."""
+    return (SymbolExpr.norm_sq(1, -1)
+            + xi_linear(lambda mu: gam(mu) - sc(2) * sig(mu))
             + SymbolExpr.norm_sq(0, curv0() + sc(1, 4) * s_atom()))
 
 
@@ -241,7 +240,9 @@ def _route_direct(par: Parametrix) -> SymbolExpr:
 
 def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
     """The reduced combination obtained by eliminating the mixed derivative
-    term with the recursion identities."""
+    term with the recursion identities.  In xi it subtracts i x the first-
+    and 1/2 x the second-derivative terms; d/deta = -i d/dxi makes both adds.
+    """
     ctx = par.ctx
     s2inv = par.b2
     s2 = q.order_part(2)
@@ -258,22 +259,16 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
     out = out + b3.mul(b3)
     out = out + s2inv_sq.mul(s1).mul(b3)
 
-    i_const = ScalarExpr.const(G_I)
     for mu, dx in dx_s2inv.items():
         if dx:
-            t1 = s2inv_sq.mul(s1.derive_xi(mu)).mul(dx)
-            out = out - t1.scale(i_const)
-            t2 = b3.derive_xi(mu).mul(dx)
-            out = out - t2.scale(i_const)
+            out = out + (s2inv_sq.mul(s1.derive_xi(mu)) + b3.derive_xi(mu)).mul(dx)
     for mu, dx in dx_s2inv.items():
         for nu in range(1, 7):
             ddx = dx.derive_x(nu, ctx)
-            if not ddx:
-                continue
-            t3 = s2inv_sq.mul(s2.derive_xi(mu).derive_xi(nu)).mul(ddx)
-            out = out - t3.scale(sc(1, 2))
-            t4 = s2inv.derive_xi(mu).derive_xi(nu).mul(ddx)
-            out = out - t4.scale(sc(1, 2))
+            if ddx:
+                dd = (s2inv_sq.mul(s2.derive_xi(mu).derive_xi(nu))
+                      + s2inv.derive_xi(mu).derive_xi(nu))
+                out = out + dd.mul(ddx).scale(sc(1, 2))
     return out.order_part(-6)
 
 

@@ -122,8 +122,9 @@ def integrate_trace(order6: SymbolExpr, contract: bool = True) -> ScalarExpr:
     """Integrate tr[.] of a restricted order -6 symbol over the unit sphere.
 
     Returns a ScalarExpr multiple of the area atom; the trace factor
-    tr[id] = 8 is included.  Input must be concentrated in a single
-    homogeneity order (the restriction makes |xi|^2 powers immaterial).
+    tr[id] = 8 is included, and so is the factor i^-6 = -1 that takes the
+    real-gauge coefficients back to xi.  Input must be concentrated in
+    order -6 (the restriction makes |xi|^2 powers immaterial).
     ``contract`` resolves surviving diagonal Riemann families into the
     scalar curvature; disable it to integrate partial term chunks.
     """
@@ -138,7 +139,7 @@ def integrate_trace(order6: SymbolExpr, contract: bool = True) -> ScalarExpr:
         total = total + coeff * TRACE_ID * ScalarExpr.const(m)
     if contract:
         total = _contract_riemann(total)
-    return total * area_s6()
+    return total * area_s6() * -1  # i^-6
 
 
 # ---------------------------------------------------------------------------

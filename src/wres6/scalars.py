@@ -2,7 +2,8 @@
 
 Everything downstream (Clifford coefficients, symbol coefficients, boundary
 rational functions) is a ``ScalarExpr``: a canonical sum of monomials with
-Gaussian-rational coefficients.  A monomial is a multiset of atoms:
+rational coefficients; the real gauge of the ``symbols`` module keeps the
+symbol coefficients rational.  A monomial is a multiset of atoms:
 
 * function atoms -- ``f``, ``h`` (and ``u`` after a specialization) with an
   optional derivative multi-index of order <= 2.  Powers are only carried by
@@ -14,9 +15,9 @@ Gaussian-rational coefficients.  A monomial is a multiset of atoms:
   order-0 symbol, and the constants ``S6`` (area of the unit 5-sphere in R^6),
   ``Om4`` (area of the unit 4-sphere in R^5) and ``pi``.
 
-Arithmetic is exact and never produces a float: each part of a Gaussian
-rational is an ``int`` when integral and a ``Fraction`` otherwise.  All values
-are immutable after construction, so expressions are safe to share freely.
+Arithmetic is exact and never produces a float: each coefficient is an
+``int`` when integral and a ``Fraction`` otherwise.  All values are immutable
+after construction, so expressions are safe to share freely.
 
 ``SparseSum`` holds the storage and the linear structure (an immutable
 ``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) of five
@@ -32,150 +33,11 @@ from typing import Callable, Mapping
 
 MAX_DERIV_ORDER = 2
 
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-
-
-class GaussRat:
-    """Exact complex a + b*i: each part an int, or a non-integral Fraction."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _part(re))
-        object.__setattr__(self, "im", _part(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
-
-    def __add__(self, other):
-        other = as_gauss(other)
-        if not self.im and not other.im:
-            return _gauss(self.re + other.re, 0)
-        return _gauss(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if not self.im:
-            return _gauss(-self.re, 0)
-        return _gauss(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-as_gauss(other))
-
-    def __rsub__(self, other):
-        return as_gauss(other) + (-self)
-
-    def __mul__(self, other):
-        other = as_gauss(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # the coefficients this computation builds are real or imaginary, so
-        # most products need one product of parts instead of four
-        if not b and not d:
-            return _gauss(a * c, 0)
-        if not a and not c:
-            return _gauss(-(b * d), 0)
-        if not b and not c:
-            return _gauss(0, a * d)
-        if not a and not d:
-            return _gauss(0, b * c)
-        return _gauss(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_gauss(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        # through Fraction, so that int parts never divide into a float
-        return GaussRat(
-            Fraction(self.re * other.re + self.im * other.im, n),
-            Fraction(self.im * other.re - self.re * other.im, n),
-        )
-
-    def __rtruediv__(self, other):
-        return as_gauss(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return GaussRat(1) / self ** (-k)
-        out = GaussRat(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        try:
-            other = as_gauss(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        # a real value hashes like the int or Fraction it compares equal to
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussRat({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{istr})"
-
-
-def as_gauss(x) -> GaussRat:
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    raise TypeError(f"cannot coerce {x!r} to GaussRat")
-
-
-_new_object = object.__new__
-_set_slot = object.__setattr__
-
-
-def _part(x) -> int | Fraction:
-    """x in canonical form: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
+def _rational(x) -> int | Fraction:
+    """An int or Fraction in canonical form: an int when integral."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot coerce {x!r} to a rational")
     return x.numerator if x.denominator == 1 else x
-
-
-def _gauss(re: int | Fraction, im: int | Fraction) -> GaussRat:
-    """A GaussRat of computed parts, with an integral Fraction made an int."""
-    g = _new_object(GaussRat)
-    _set_slot(g, "re", re if type(re) is int or re.denominator != 1 else re.numerator)
-    _set_slot(g, "im", im if type(im) is int or im.denominator != 1 else im.numerator)
-    return g
-
-
-G_ZERO = GaussRat(0)
-G_ONE = GaussRat(1)
-G_I = GaussRat(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +109,19 @@ class DerivativeOrderError(ValueError):
 def _accumulate(out: dict, key, value) -> None:
     """Add value to out[key] in place, dropping the entry when it cancels.
 
-    The one sparse-sum step of every container: values are GaussRat,
+    The one sparse-sum step of every container: values are rationals,
     ScalarExpr, CliffordElement or XiRat, anything with ``+`` whose zero is
-    falsy.
+    falsy.  An integral Fraction is stored as its int.
     """
     acc = out.get(key)
-    if acc is None:
-        out[key] = value
-        return
-    acc = acc + value
-    if acc:
-        out[key] = acc
-    else:
-        del out[key]
+    if acc is not None:
+        value = acc + value
+        if not value:
+            del out[key]
+            return
+    if type(value) is Fraction and value.denominator == 1:
+        value = value.numerator
+    out[key] = value
 
 
 class SparseSum:
@@ -285,8 +147,8 @@ class SparseSum:
     @classmethod
     def _adopt(cls, clean: dict):
         """The sum of a dict that holds no falsy value, taken without a copy."""
-        s = _new_object(cls)
-        _set_slot(s, "terms", clean)
+        s = object.__new__(cls)
+        object.__setattr__(s, "terms", clean)
         return s
 
     def __setattr__(self, name, value):
@@ -333,8 +195,8 @@ class ScalarExpr(SparseSum):
     """Canonical sum of monomials over the atom alphabet.
 
     ``terms`` maps a monomial (sorted tuple of (atom, exponent) pairs) to its
-    nonzero GaussRat coefficient.  A number equals, and hashes like, its
-    constant.
+    nonzero rational coefficient, an int when integral.  A number equals, and
+    hashes like, its constant.
     """
 
     __slots__ = ()
@@ -351,7 +213,7 @@ class ScalarExpr(SparseSum):
 
     @staticmethod
     def const(c) -> "ScalarExpr":
-        c = as_gauss(c)
+        c = _rational(c)
         if not c:
             return _SE_ZERO
         return ScalarExpr({(): c})
@@ -361,7 +223,7 @@ class ScalarExpr(SparseSum):
         if exp == 0:
             return ScalarExpr.const(coeff)
         _validate_atom(atom, exp)
-        return ScalarExpr({((atom, exp),): as_gauss(coeff)})
+        return ScalarExpr({((atom, exp),): _rational(coeff)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -414,10 +276,10 @@ class ScalarExpr(SparseSum):
             if atom[0] not in FUNC_BASES or atom[1]:
                 raise ValueError(f"cannot invert atom {atom!r}")
             inv.append((atom, -exp))
-        return ScalarExpr({tuple(inv): G_ONE / coeff})
+        return ScalarExpr({tuple(inv): _rational(1 / Fraction(coeff))})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = ScalarExpr.const(other)
         if not isinstance(other, ScalarExpr):
             return NotImplemented
@@ -455,22 +317,12 @@ class ScalarExpr(SparseSum):
                 _accumulate(out, _mono_mul(rest, ((datom, 1),)), coeff * exp)
         return ScalarExpr(out)
 
-    # -- substitution and evaluation ---------------------------------------
+    # -- substitution --------------------------------------------------------
 
     def map_func_atoms(self, mapping: Callable[[tuple], "ScalarExpr"]) -> "ScalarExpr":
         """Rewrite every function atom through ``mapping``; other atoms pass."""
         return _rewrite_atoms(
             self, lambda atom: mapping(atom) if atom[0] in FUNC_BASES else None)
-
-    def evaluate(self, assign: Mapping[tuple, GaussRat]) -> GaussRat:
-        """Exact evaluation with Gaussian-rational atom values."""
-        total = G_ZERO
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for atom, exp in mono:
-                val = val * as_gauss(assign[atom]) ** exp
-            total = total + val
-        return total
 
     def atoms(self) -> set:
         out = set()
@@ -485,24 +337,24 @@ class ScalarExpr(SparseSum):
         return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
 
     def __str__(self):
+        return self.render(_signed_str)
+
+    def render(self, coeff_str: Callable[[int | Fraction], tuple]) -> str:
+        """The sum as text, each coefficient written by ``coeff_str``, which
+        returns (leading minus, text of the rest)."""
         if not self.terms:
             return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            parts.append(_term_str(mono, coeff))
-        text = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
+        parts = [_scaled_str(*coeff_str(coeff), "*".join(
+                     atom_str(a) + ("" if e == 1 else f"^{e}") for a, e in mono))
+                 for mono, coeff in self.sorted_terms()]
+        return parts[0] + "".join(" - " + p[1:] if p.startswith("-") else " + " + p
+                                  for p in parts[1:])
 
 
 def _as_scalar(x) -> ScalarExpr:
     if isinstance(x, ScalarExpr):
         return x
-    if isinstance(x, (int, Fraction, GaussRat)):
+    if isinstance(x, (int, Fraction)):
         return ScalarExpr.const(x)
     raise TypeError(f"cannot coerce {x!r} to ScalarExpr")
 
@@ -596,19 +448,15 @@ def _mono_key(mono):
     return tuple(_atom_key(a) + (e,) for a, e in mono)
 
 
-def _term_str(mono, coeff):
-    factors = []
-    for atom, exp in mono:
-        s = atom_str(atom)
-        if exp != 1:
-            s += f"^{exp}"
-        factors.append(s)
-    neg = coeff.im == 0 and coeff.re < 0
-    if neg:
-        coeff = -coeff
-    cstr = str(coeff)
-    body = "*".join(factors)
-    if not factors:
+def _signed_str(coeff) -> tuple[bool, str]:
+    """A rational as (leading minus, text of its magnitude)."""
+    return (True, str(-coeff)) if coeff < 0 else (False, str(coeff))
+
+
+def _scaled_str(neg: bool, cstr: str, body: str) -> str:
+    """cstr*body, with a leading minus when ``neg``: the coefficient is
+    bracketed when it is a quotient or a product and left out when it is 1."""
+    if not body:
         out = cstr
     elif cstr == "1":
         out = body
@@ -620,7 +468,7 @@ def _term_str(mono, coeff):
 
 
 _SE_ZERO = ScalarExpr({})
-_SE_ONE = ScalarExpr({(): G_ONE})
+_SE_ONE = ScalarExpr({(): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -822,14 +670,6 @@ def group_for_display(e: ScalarExpr) -> str:
     return text[1:] if text.startswith("+") else text
 
 
-def _format_piece(coeff: GaussRat, pre: str, label: str) -> str:
-    neg = coeff.im == 0 and coeff.re < 0
-    if neg:
-        coeff = -coeff
-    cstr = str(coeff)
-    if "/" in cstr or "*" in cstr:
-        cstr = f"({cstr})"
-    body = label if not pre else f"{pre}*{label}"
-    if cstr != "1":
-        body = f"{cstr}*{body}"
-    return ("-" if neg else "+") + body
+def _format_piece(coeff, pre: str, label: str) -> str:
+    piece = _scaled_str(*_signed_str(coeff), label if not pre else f"{pre}*{label}")
+    return piece if piece.startswith("-") else "+" + piece

@@ -20,6 +20,19 @@ Point contexts fix the evaluation rules at the computation point:
 x-derivatives of curvature-type atoms are dropped in both modes: their net
 effect on the inverse symbols is carried by the imported curvature terms of
 the order -4 symbol (see calculus module).
+
+The real gauge
+--------------
+Cl_{0,6} is the real matrix algebra M_8(R) (Lawson and Michelsohn, "Spin
+Geometry", Ch. I 4), so every coefficient of xi-degree k of the symbols
+this computation builds lies in i^k Q.  Each term is therefore stored as the
+rational r = i^-k c of its coefficient c, which is the substitution
+xi = -i eta: a stored symbol is p(x, -i eta) written in the variable eta,
+and the monomial keys keep the names xi.  Pointwise products and
+x-derivatives act on r as on c; d/d eta = -i d/d xi, so the composition sum
+loses its factors (-i)^|alpha|.  The number i appears at two edges only:
+``tables`` reads the printed symbols, which are written in xi, into the
+gauge, and ``SymbolExpr.dump_lines`` writes each coefficient back as i^k r.
 """
 
 from __future__ import annotations
@@ -33,8 +46,6 @@ from math import factorial
 from .clifford import CliffordElement, mul_into, raw_element, word_str
 from .scalars import (
     CONNECTION_KINDS,
-    G_I,
-    G_ONE,
     ScalarExpr,
     SparseSum,
     _accumulate,
@@ -223,7 +234,8 @@ class SymbolExpr(SparseSum):
     # -- restrictions ----------------------------------------------------------
 
     def restrict_sphere(self) -> dict:
-        """|xi| = 1: returns {(exps, word): ScalarExpr} with |xi|^2 -> 1."""
+        """{(exps, word): ScalarExpr} with the |xi|^(2p) factors dropped; at
+        |xi| = 1 a term of degree k is i^k times its value here."""
         out: dict = {}
         for (exps, p), el in self.terms.items():
             for w, c in el.terms.items():
@@ -233,8 +245,9 @@ class SymbolExpr(SparseSum):
     # -- display ----------------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
-        return [f"order={xim_degree(mono)} | {c} | xi={xim_str(mono)} "
-                f"| cliff={word_str(w)}"
+        """One line per term, its coefficient written as i^k r in xi."""
+        return [f"order={xim_degree(mono)} | {_xi_gauge_str(c, xim_degree(mono))} "
+                f"| xi={xim_str(mono)} | cliff={word_str(w)}"
                 for mono, el in self.sorted_terms() for w, c in el.sorted_terms()]
 
     def __str__(self):
@@ -245,10 +258,23 @@ class SymbolExpr(SparseSum):
                 f"terms={len(self.terms)}>")
 
 
+def _xi_gauge_str(r: ScalarExpr, k: int) -> str:
+    """i^k r, the coefficient in xi of a term of degree k stored as r."""
+    sign = -1 if k % 4 >= 2 else 1
+    if k % 2 == 0:
+        return str(r if sign > 0 else -r)
+
+    def imaginary(b):  # sign * b * i, written as the product of its parts
+        b *= sign
+        return False, "i" if b == 1 else "-i" if b == -1 else f"{b}*i"
+
+    return r.render(imaginary)
+
+
 def _mul_symbols_into(raw: dict, a: SymbolExpr, b: SymbolExpr,
-                      scale=G_ONE) -> None:
+                      scale=1) -> None:
     """Add scale * a * b into ``raw``, a {xi-monomial: {word: {monomial:
-    GaussRat}}} dict."""
+    rational}}} dict."""
     for m1, e1 in a.terms.items():
         for m2, e2 in b.terms.items():
             mul_into(raw.setdefault(xim_mul(m1, m2), {}), e1, e2, scale)
@@ -339,14 +365,16 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
 
 def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
             ctx: PointContext = INTERIOR) -> SymbolExpr:
-    """Asymptotic product sum_alpha (-i)^|a|/a! d_xi^a A * d_x^a B.
+    """Asymptotic product sum_alpha 1/a! d_eta^a A * d_x^a B.
 
-    Truncated below ``lowest_order``; the multi-index sum runs over every
-    alpha that can still contribute at or above the truncation.  Order pairs
-    falling below the cutoff are skipped before any derivative is taken, so
-    the derivative-order bound is never exercised by discarded terms, and
-    every product that is made lies at or above the cutoff.  All products
-    add, with (-i)^|a|/a! folded into their coefficients, into one raw dict.
+    In the real gauge this is the usual sum_alpha (-i)^|a|/a! d_xi^a A d_x^a B:
+    each d/d eta is -i d/d xi.  Truncated below ``lowest_order``; the
+    multi-index sum runs over every alpha that can still contribute at or
+    above the truncation.  Order pairs falling below the cutoff are skipped
+    before any derivative is taken, so the derivative-order bound is never
+    exercised by discarded terms, and every product that is made lies at or
+    above the cutoff.  All products add, with 1/a! folded into their
+    coefficients, into one raw dict.
     """
     if not A or not B:
         return SymbolExpr.zero()
@@ -358,12 +386,11 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
     parts_b = {o: SymbolExpr(t) for o, t in B.orders.items()}
     raw: dict = {}
     for k in range(max_k + 1):
-        coeff_i = (G_I * -1) ** k  # (-i)^k
         for alpha in combinations_with_replacement(range(1, 7), k):
             fact = 1
             for j in set(alpha):
                 fact *= factorial(alpha.count(j))
-            scale = coeff_i * Fraction(1, fact)
+            scale = 1 if fact == 1 else Fraction(1, fact)
             dA_cache: dict[int, SymbolExpr] = {}
             dB_cache: dict[int, SymbolExpr] = {}
             for a, part_a in parts_a.items():

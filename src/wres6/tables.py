@@ -4,11 +4,13 @@ Everything here is a transcription of displayed formulas from the reference
 computation (the inverse-symbol expansions, the 21 sphere-integral items,
 the assembled interior density, and the five boundary cases), expressed
 through the package's own constructors so comparisons run on canonical
-forms.  The discrepancy ledger at the bottom records every printed value
-the forced algebra contradicts.  ``judge`` gives every verdict: a ledger
-entry excuses a row only when forced minus printed equals the difference
-frozen for that row, so a changed printed value still reads "diff"; the
-test suite re-derives each frozen difference through independent oracles.
+forms; the printed symbols, written in xi, are read into the real gauge of
+the ``symbols`` module by one function, ``_read_printed``.  The discrepancy
+ledger at the bottom records every printed value the forced algebra
+contradicts.  ``judge`` gives every verdict: a ledger entry excuses a row
+only when forced minus printed equals the difference frozen for that row,
+so a changed printed value still reads "diff"; the test suite re-derives
+each frozen difference through independent oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from functools import lru_cache, reduce
 
 from .clifford import c_of_d
 from .scalars import (
-    G_I,
     ScalarExpr,
     area_s6,
     f_pow,
@@ -32,19 +33,44 @@ from .scalars import (
     sc,
     wp,
 )
-from .symbols import SymbolExpr, xi_linear, xi_quadratic, xim_norm
+from .symbols import XIM_ONE, SymbolExpr, xi_linear, xi_quadratic, xim_degree
 
 # ---------------------------------------------------------------------------
 # Printed symbols as products of xi-forms
 
 
-def _printed(p: int, prefactor: ScalarExpr, *factors: SymbolExpr) -> SymbolExpr:
-    """factors[0] * factors[1] * ... * prefactor |xi|^(2p).
+def _printed(p: int, prefactor: ScalarExpr, *factors: SymbolExpr,
+             phase: int = 0) -> SymbolExpr:
+    """factors[0] * factors[1] * ... * i^phase prefactor |xi|^(2p), read
+    into the real gauge.
 
     The factors multiply first and in the order given: Clifford factors do
     not commute, and the prefactor is cheaper applied once to the product.
     """
-    return reduce(SymbolExpr.mul, (*factors, SymbolExpr.norm_sq(p, prefactor)))
+    return _read_printed(
+        reduce(SymbolExpr.mul, (*factors, SymbolExpr.norm_sq(p, prefactor))), phase)
+
+
+def _read_printed(S: SymbolExpr, phase: int) -> SymbolExpr:
+    """The real gauge of i^phase S, S a printed symbol written in xi.
+
+    A term of degree k and coefficient i^phase c is stored as
+    i^(phase - k) c, which is rational only when phase - k is even; any
+    other term is a misprint or a misreading of a factor i.
+    """
+    out = {}
+    for mono, el in S.terms.items():
+        shift = phase - xim_degree(mono)
+        if shift % 2:
+            raise ValueError(f"printed term of degree {xim_degree(mono)} "
+                             f"cannot carry the phase i^{phase}")
+        out[mono] = el if shift % 4 == 0 else -el
+    return SymbolExpr(out)
+
+
+def _cd_cd(u: ScalarExpr, v: ScalarExpr) -> SymbolExpr:
+    """c(du) c(dv) as an order-0 symbol."""
+    return SymbolExpr.term(XIM_ONE, c_of_d(u) * c_of_d(v))
 
 
 def _xi_hess(u: ScalarExpr) -> SymbolExpr:
@@ -101,13 +127,11 @@ def printed_expansion_line(idx: int) -> SymbolExpr:
     if idx == 13:
         return _printed(-4, fh_pow(-6) * sc(-4), cc, cc)
     if idx == 14:
-        return SymbolExpr.term(xim_norm(-3),
-                               (c_of_d(fh) * c_of_d(fh)).scale(fh_pow(-6) * sc(6)))
+        return _printed(-3, fh_pow(-6) * sc(6), _cd_cd(fh, fh))
     if idx == 15:
         return _printed(-3, fh_pow(-5) * f * sc(2) * lap(h))
     if idx == 16:
-        return SymbolExpr.term(xim_norm(-3),
-                               (c_of_d(fh) * c_of_d(h)).scale(fh_pow(-6) * f * sc(-2)))
+        return _printed(-3, fh_pow(-6) * f * sc(-2), _cd_cd(fh, h))
     if idx == 17:
         return _printed(-4, fh_pow(-2) * sc(2), _xi_hess(fh_pow(-2)))
     if idx == 18:
@@ -195,8 +219,8 @@ def printed_qinv_order(k: int) -> SymbolExpr:
     if k == -2:
         return _printed(-1, fh_pow(-2))
     if k == -3:
-        return _printed(-2, fh_pow(-3) * ScalarExpr.const(G_I),
-                        xi_h.scale(f * sc(2)) - xi_fh.scale(sc(4)) - cc)
+        return _printed(-2, fh_pow(-3), xi_h.scale(f * sc(2)) - xi_fh.scale(sc(4)) - cc,
+                        phase=1)
     if k == -4:
         return (_printed(-2, fh_pow(-2) * sc(-1, 4) * s_atom())
                 + _printed(-3, fh_pow(-2) * sc(2, 3), xi_quadratic(riem))
@@ -212,11 +236,9 @@ def printed_qinv_order(k: int) -> SymbolExpr:
                 + _printed(-3, fh_pow(-4) * f * sc(4), xi_h, cc)
                 + _printed(-3, fh_pow(-4) * sc(-4), xi_fh, cc)
                 + _printed(-3, fh_pow(-4) * sc(-1), cc, cc)
-                + SymbolExpr.term(xim_norm(-2),
-                                  (c_of_d(fh) * c_of_d(fh)).scale(fh_pow(-4) * sc(2)))
+                + _printed(-2, fh_pow(-4) * sc(2), _cd_cd(fh, fh))
                 + _printed(-2, fh_pow(-3) * f * lap(h))
-                + SymbolExpr.term(xim_norm(-2), (c_of_d(fh) * c_of_d(h)).scale(
-                    fh_pow(-4) * f * sc(-1)))
+                + _printed(-2, fh_pow(-4) * f * sc(-1), _cd_cd(fh, h))
                 + _printed(-3, sc(2), xi_linear(fh_pow(-3).derive_x), cc)
                 + _printed(-3, fh_pow(-3) * sc(2), _cliff_hessian_form()))
     raise ValueError(f"no printed inverse symbol at order {k}")

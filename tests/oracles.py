@@ -1,5 +1,10 @@
 """Independent routes the tests check the package against.
 
+Exact oracles: ``evaluate`` takes a value at rational atom values, the
+matrix oracle represents the Clifford algebra by six integer 8x8 matrices,
+and ``contour_integral_cauchy`` takes a line integral by the Cauchy formula
+instead of reading a residue.
+
 Floating-point oracles: the package computes exactly and never produces a
 float; these helpers turn its exact values into complex numbers so the tests
 can check them against independent numeric routes.
@@ -11,10 +16,11 @@ patterns, so the tests can check ``group_for_display`` against it.
 
 import cmath
 import math
+from fractions import Fraction
+from math import comb, factorial
 
+from wres6.boundary import DecayError, XiRat
 from wres6.scalars import (
-    G_ONE,
-    G_ZERO,
     ScalarExpr,
     _atom_key,
     _format_piece,
@@ -27,19 +33,120 @@ from wres6.scalars import (
     grad_dot,
     h_pow,
     lap,
+    pi_atom,
 )
 
 
+def evaluate(e: ScalarExpr, assign):
+    """A ScalarExpr at exact atom values ``assign: {atom: rational}``."""
+    total = Fraction(0)
+    for mono, coeff in e.terms.items():
+        val = Fraction(coeff)
+        for atom, exp in mono:
+            val *= Fraction(assign[atom]) ** exp
+        total += val
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Matrix oracle: Cl_{0,6} is M_8(R), so six anticommuting integer 8x8
+# matrices with M_i^2 = -Id exist.  Each is a tensor product of three 2x2
+# blocks: X and Z square to Id, J to -Id, and any two distinct non-identity
+# blocks anticommute, so a product anticommutes with another when an odd
+# number of slots do, and squares to -Id when it holds an odd number of J.
+
+Matrix = tuple  # tuple of rows of ints or Fractions
+
+_BLOCKS = {"I": ((1, 0), (0, 1)), "X": ((0, 1), (1, 0)),
+           "Z": ((1, 0), (0, -1)), "J": ((0, -1), (1, 0))}
+_GENERATORS = ("IIJ", "IJX", "XJZ", "ZJZ", "JIZ", "JXX")
+
+
+def _mat(rows) -> Matrix:
+    return tuple(tuple(row) for row in rows)
+
+
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    n = len(A)
+    return _mat([[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)])
+
+
+def mat_add(A: Matrix, B: Matrix) -> Matrix:
+    return _mat([[A[i][j] + B[i][j] for j in range(len(A))] for i in range(len(A))])
+
+
+def mat_scale(A: Matrix, s) -> Matrix:
+    return _mat([[x * s for x in row] for row in A])
+
+
+def mat_trace(A: Matrix):
+    return sum(A[i][i] for i in range(len(A)))
+
+
+def mat_identity(n: int = 8) -> Matrix:
+    return _mat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _kron(A: Matrix, B: Matrix) -> Matrix:
+    na, nb = len(A), len(B)
+    return _mat([[A[i // nb][j // nb] * B[i % nb][j % nb]
+                  for j in range(na * nb)] for i in range(na * nb)])
+
+
+def matrix_oracle() -> list:
+    """[M_1, ..., M_6]: integer 8x8 matrices with M_i M_j + M_j M_i = -2 delta_ij."""
+    return [_kron(_BLOCKS[a], _kron(_BLOCKS[b], _BLOCKS[c]))
+            for a, b, c in _GENERATORS]
+
+
+def element_to_matrix(el, assign) -> Matrix:
+    """A CliffordElement at exact atom values, in the oracle representation."""
+    mats = matrix_oracle()
+    out = mat_scale(mat_identity(), 0)
+    for w, coeff in el.terms.items():
+        m = mat_identity()
+        for i in w:
+            m = mat_mul(m, mats[i - 1])
+        out = mat_add(out, mat_scale(m, evaluate(coeff, assign)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Line integrals in eta_n = i xi_n
+
+
+def contour_integral_cauchy(rat: XiRat) -> ScalarExpr:
+    """2 pi times the residue at eta_n = -1 by the Cauchy formula:
+    (2 pi/(a-1)!) d^(a-1)/deta^(a-1) [(eta + 1)^a r] at eta = -1."""
+    if not rat.decays():
+        raise DecayError("integrand does not decay at infinity")
+    a = max((k for s, k in rat.terms if s == 1), default=0)
+    if a == 0:
+        return ScalarExpr.zero()
+    g = rat * XiRat({(0, j): ScalarExpr.const(comb(a, j)) for j in range(a + 1)})
+    for _ in range(a - 1):
+        g = g.derive()
+    # (eta + 1)^a r has no pole at -1: eta^k -> (-1)^k, (eta - 1)^-k -> (-2)^-k
+    val = ScalarExpr.zero()
+    for (s, k), c in g.terms.items():
+        if s == 1:
+            raise ValueError("(eta_n + 1)^a r keeps a pole at -1")
+        val = val + c * ScalarExpr.const(Fraction(-1) ** k if s == 0
+                                         else Fraction(-2) ** -k)
+    return val * ScalarExpr.const(Fraction(2, factorial(a - 1))) * pi_atom()
+
+
 def to_complex(g) -> complex:
-    """A GaussRat as a complex number."""
-    return complex(g.re) + 1j * complex(g.im)
+    """An exact rational as a complex number."""
+    return complex(g)
 
 
 def evaluate_complex(e, assign) -> complex:
     """A ScalarExpr at complex atom values ``assign: {atom: number}``."""
     total = 0j
     for mono, coeff in e.terms.items():
-        val = to_complex(coeff)
+        val = complex(coeff)
         for atom, exp in mono:
             val *= complex(assign[atom]) ** exp
         total += val
@@ -47,31 +154,32 @@ def evaluate_complex(e, assign) -> complex:
 
 
 def evaluate_xirat(rat, assign, z: complex) -> complex:
-    """A XiRat at xi_n = z, its coefficients evaluated at ``assign``."""
+    """A XiRat at eta_n = z, its coefficients evaluated at ``assign``."""
     total = 0j
     for (s, k), c in rat.terms.items():
-        base = z ** k if s == 0 else (z - s * 1j) ** -k
+        base = z ** k if s == 0 else (z + s) ** -k
         total += evaluate_complex(c, assign) * base
     return total
 
 
 def ratio_at(num, a, b, z: complex) -> complex:
-    """sum(num[k] z^k) / ((z - i)^a (z + i)^b) for constant coefficients,
+    """sum(num[k] z^k) / ((z + 1)^a (z - 1)^b) for constant coefficients,
     evaluated from the inputs of ``XiRat.ratio`` and not from its terms."""
     top = sum(evaluate_complex(c, {}) * z ** k for k, c in enumerate(num))
-    return top / ((z - 1j) ** a * (z + 1j) ** b)
+    return top / ((z + 1) ** a * (z - 1) ** b)
 
 
 def contour_quadrature(f, nodes=2048, radius=0.5) -> complex:
-    """Trapezoidal rule for the integral of ``f(z)`` around the circle
-    |z - i| = radius, which encloses the pole at +i only."""
+    """Trapezoidal rule for 2 pi times the residue of ``f`` at -1: the
+    integral around the circle |z + 1| = radius, which encloses the pole at
+    -1 only, divided by i."""
     total = 0j
     for k in range(nodes):
         th = 2 * math.pi * k / nodes
-        z = 1j + radius * cmath.exp(1j * th)
+        z = -1 + radius * cmath.exp(1j * th)
         dz = radius * 1j * cmath.exp(1j * th) * 2 * math.pi / nodes
         total += f(z) * dz
-    return total
+    return total / 1j
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +265,7 @@ def _candidate_set(e: ScalarExpr):
             if key in seen:
                 continue
             seen.add(key)
-            shifted = ScalarExpr({shift: G_ONE}) * pat
+            shifted = ScalarExpr({shift: 1}) * pat
             cands.append((rank, label, shift, shifted))
     cands.sort(key=lambda c: (c[0], c[2]))
     return [(label, shift, pat) for _, label, shift, pat in cands]
@@ -182,8 +290,8 @@ def _solve_grouping(e: ScalarExpr):
     cols = len(cands)
     rows = []
     for m in monos:
-        row = [pat.terms.get(m, G_ZERO) for _, _, pat in cands]
-        row.append(target.terms.get(m, G_ZERO))
+        row = [pat.terms.get(m, 0) for _, _, pat in cands]
+        row.append(target.terms.get(m, 0))
         rows.append(row)
     # row reduce
     pivot_cols = []
@@ -193,7 +301,7 @@ def _solve_grouping(e: ScalarExpr):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = G_ONE / rows[r][c]
+        inv = 1 / Fraction(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -207,7 +315,7 @@ def _solve_grouping(e: ScalarExpr):
     for i in range(r, len(rows)):
         if rows[i][cols]:
             return [], e
-    coeffs = [G_ZERO] * cols
+    coeffs = [0] * cols
     for row_i, c in enumerate(pivot_cols):
         coeffs[c] = rows[row_i][cols]
     pieces = []

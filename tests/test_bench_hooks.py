@@ -33,15 +33,27 @@ def test_span_targets_install_and_uninstall():
         assert getattr(owner, key) is original
 
 
+# counters of functions the package no longer has: the Gaussian-rational
+# layer was deleted when the symbols moved to the real gauge, so these read
+# 0 until the benchmark drops them
+RETIRED_COUNTERS = {"scalars.gaussrat_init_calls", "scalars.gaussrat_mul_calls"}
+
+
+def _resolve(suffix, qualname):
+    stem = suffix[:-len(".py")]
+    obj = importlib.import_module(stem if stem == "fractions" else f"wres6.{stem}")
+    for part in qualname.split("."):
+        obj = getattr(obj, part, None)
+        if obj is None:
+            break
+    return obj
+
+
 def test_counted_names_resolve():
     child = _load_child()
-    for suffix, qualname in child.COUNTED.values():
-        stem = suffix[:-len(".py")]
-        obj = importlib.import_module(
-            stem if stem == "fractions" else f"wres6.{stem}")
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
-        assert callable(obj)
+    unresolved = {metric for metric, (suffix, qualname) in child.COUNTED.items()
+                  if not callable(_resolve(suffix, qualname))}
+    assert unresolved == RETIRED_COUNTERS
 
 
 def test_output_sizes_count_the_sigma6_and_b4_terms():

@@ -14,7 +14,6 @@ from wres6.calculus import (
 from wres6.clifford import CliffordElement
 from wres6.scalars import (
     CONNECTION_KINDS,
-    G_I,
     ScalarExpr,
     dfunc,
     fh_pow,
@@ -62,6 +61,12 @@ def commutator(S: SymbolExpr, u: ScalarExpr) -> SymbolExpr:
     return compose(S, SymbolExpr.scalar_term(XIM_ONE, u), 0) - S.scale(u)
 
 
+# Every expected symbol below is written in the real gauge: a term of
+# xi-degree k whose coefficient is c in xi is stored as i^-k c, so
+# |xi|^2 = i^2 (-|xi|^2), i xi_j = i^1 xi_j, and an order -6 coefficient c
+# is stored as -c.
+
+
 # ---------------------------------------------------------------------------
 # composition and commutators
 
@@ -80,11 +85,11 @@ def test_compose_truncation_bound_error():
 
 
 def test_commutator_top_order_of_squared_dirac():
+    # -2i d_j h xi_j
     got = commutator(build_d2_symbols(), h_pow(1)).order_part(1)
     want = SymbolExpr.zero()
     for j in range(1, 7):
-        want = want + SymbolExpr.scalar_term(
-            xim_xi(j), dfunc("h", j) * ScalarExpr.const(-2 * G_I))
+        want = want + SymbolExpr.scalar_term(xim_xi(j), dfunc("h", j) * sc(-2))
     assert got == want
 
 
@@ -109,23 +114,23 @@ def test_q_symbol_orders():
 
 def test_q_order_two():
     q = build_q_symbols()
-    assert q.order_part(2) == SymbolExpr.scalar_term(xim_norm(1), fh_pow(2))
+    # (fh)^2 |xi|^2
+    assert q.order_part(2) == SymbolExpr.scalar_term(xim_norm(1), -fh_pow(2))
 
 
 def test_q_order_one_flat_rescaling_keeps_connection_atoms():
     q = set_f_h_to_one(build_q_symbols()).order_part(1)
     want = SymbolExpr.zero()
-    for mu in range(1, 7):
-        want = want + SymbolExpr.scalar_term(
-            xim_xi(mu), (gam(mu) - sc(2) * sig(mu)) * ScalarExpr.const(G_I))
+    for mu in range(1, 7):  # i (Gam^mu - 2 sig^mu) xi_mu
+        want = want + SymbolExpr.scalar_term(xim_xi(mu), gam(mu) - sc(2) * sig(mu))
     assert q == want
 
 
 def test_q_order_one_clifford_part():
     q = build_q_symbols().order_part(1)
     cdhf = CliffordElement.covector([fh_pow(1).derive_x(j) for j in range(1, 7)])
-    want_full = SymbolExpr.xi_covector().cliff_lmul(cdhf).scale(
-        fh_pow(1) * ScalarExpr.const(G_I))
+    # i fh c(d(hf)) c(xi)
+    want_full = SymbolExpr.xi_covector().cliff_lmul(cdhf).scale(fh_pow(1))
     want = SymbolExpr.zero()
     for mono, el in want_full.terms.items():
         kept = CliffordElement({w: c for w, c in el.terms.items() if w})
@@ -179,7 +184,8 @@ def test_fdh_square_matches_q_on_function_content():
 
 def test_leading_inverse():
     par = interior_parametrix()
-    assert par.b2 == SymbolExpr.scalar_term(xim_norm(-1), fh_pow(-2))
+    # (fh)^-2 |xi|^-2
+    assert par.b2 == SymbolExpr.scalar_term(xim_norm(-1), -fh_pow(-2))
 
 
 def test_non_invertible_leading_symbol_rejected():
@@ -222,8 +228,7 @@ def test_b4_matches_printed_literally():
 def test_b3_clifford_term_present():
     par = interior_parametrix()
     cdhf = CliffordElement.covector([fh_pow(1).derive_x(j) for j in range(1, 7)])
-    want = SymbolExpr.xi_covector().cliff_lmul(cdhf).scale(
-        fh_pow(-3) * ScalarExpr.const(-G_I)).mul(
+    want = SymbolExpr.xi_covector().cliff_lmul(cdhf).scale(-fh_pow(-3)).mul(
         SymbolExpr.scalar_term(xim_norm(-2), ScalarExpr.one()))
     got = SymbolExpr.zero()
     for mono, el in par.b3.terms.items():
@@ -252,14 +257,15 @@ def test_sigma6_routes_agree():
 def test_sigma6_flat_case_is_pure_curvature():
     from wres6.scalars import riem
 
+    # -1/2 s |xi|^-6 + 2 R_{a m} xi_a xi_m |xi|^-8, negated at order -6
     s6 = set_f_h_to_one(qinv_square_sigma6())
-    want = SymbolExpr.scalar_term(xim_norm(-3), sc(-1, 2) * ScalarExpr.atom(("s", ())))
+    want = SymbolExpr.scalar_term(xim_norm(-3), sc(1, 2) * ScalarExpr.atom(("s", ())))
     for a in range(1, 7):
         for m in range(1, 7):
             e = [0] * 6
             e[a - 1] += 1
             e[m - 1] += 1
-            want = want + SymbolExpr.scalar_term((tuple(e), -4), sc(2) * riem(a, m))
+            want = want + SymbolExpr.scalar_term((tuple(e), -4), sc(-2) * riem(a, m))
     assert s6 == want
 
 

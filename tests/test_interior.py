@@ -6,7 +6,6 @@ import pytest
 
 from wres6 import tables
 from wres6.calculus import qinv_square_sigma6
-from wres6.clifford import mat_trace
 from wres6.interior import (
     FreeIndexError,
     gamma_moment,
@@ -17,7 +16,6 @@ from wres6.interior import (
     theorem_check_interior,
 )
 from wres6.scalars import (
-    GaussRat,
     ScalarExpr,
     area_s6,
     f_pow,
@@ -29,7 +27,9 @@ from wres6.scalars import (
     sc,
     subst_area,
 )
-from wres6.symbols import SymbolExpr, xim_norm
+from wres6.symbols import SymbolExpr, xim_degree, xim_norm
+
+from oracles import evaluate, mat_identity, mat_mul, mat_trace, matrix_oracle
 
 rng = random.Random(404)
 
@@ -205,8 +205,6 @@ def test_theorem_fh_constant_specialization_matches():
 
 def _word_traces():
     """Trace of each word's matrix product in the 8x8 representation."""
-    from wres6.clifford import mat_identity, mat_mul, matrix_oracle
-
     mats = matrix_oracle()
     cache = {}
 
@@ -221,18 +219,22 @@ def _word_traces():
     return trace_of
 
 
-def _numeric_integrate_trace(S: SymbolExpr, assign, trace_of) -> GaussRat:
-    """Independent route: matrix-representation trace + Gamma moments."""
-    total = GaussRat(0)
-    for o, terms in S.orders.items():
-        for (exps, p), el in terms.items():
-            m = gamma_moment(exps)
-            if not m:
-                continue
-            for w, c in el.terms.items():
-                tw = trace_of(w)
-                if tw:
-                    total = total + c.evaluate(assign) * tw * GaussRat(m)
+def _numeric_integrate_trace(S: SymbolExpr, assign, trace_of) -> Fraction:
+    """Independent route: matrix-representation trace + Gamma moments.
+
+    A term of even degree k stored in the real gauge is i^k = (-1)^(k/2)
+    times its coefficient in xi.
+    """
+    total = Fraction(0)
+    for (exps, p), el in S.terms.items():
+        m = gamma_moment(exps)
+        if not m:
+            continue
+        phase = -1 if xim_degree((exps, p)) % 4 else 1
+        for w, c in el.terms.items():
+            tw = trace_of(w)
+            if tw:
+                total += evaluate(c, assign) * tw * m * phase
     return total
 
 
@@ -249,10 +251,10 @@ def test_term_13_numeric_oracle():
             for mono, el in terms.items():
                 for w, cf in el.terms.items():
                     atoms |= cf.atoms()
-        assign = {a: GaussRat(Fraction(local.randint(1, 9), local.randint(1, 4)))
+        assign = {a: Fraction(local.randint(1, 9), local.randint(1, 4))
                   for a in sorted(atoms)}
-        assign[("S6",)] = GaussRat(1)
-        assert forced.evaluate(assign) == _numeric_integrate_trace(line, assign, trace_of)
+        assign[("S6",)] = 1
+        assert evaluate(forced, assign) == _numeric_integrate_trace(line, assign, trace_of)
 
 
 def test_density_numeric_oracle_matrix_trace_and_gamma_moments():
@@ -270,14 +272,12 @@ def test_density_numeric_oracle_matrix_trace_and_gamma_moments():
         assign = {}
         for a in sorted(atoms):
             if a[0] in ("f", "h") and not a[1]:
-                assign[a] = GaussRat(Fraction(local.randint(1, 9), local.randint(1, 4)))
+                assign[a] = Fraction(local.randint(1, 9), local.randint(1, 4))
             else:
-                assign[a] = GaussRat(Fraction(local.randint(-6, 6), local.randint(1, 5)))
+                assign[a] = Fraction(local.randint(-6, 6), local.randint(1, 5))
         # contract the diagonal Riemann family consistently with s
-        s_val = sum((assign.get(("R", a, a, ()), GaussRat(0))
-                     for a in range(1, 7)), GaussRat(0))
-        assign[("s", ())] = s_val
-        assign[("S6",)] = GaussRat(1)
-        exact = dens.evaluate(assign)
+        assign[("s", ())] = sum(assign.get(("R", a, a, ()), 0) for a in range(1, 7))
+        assign[("S6",)] = 1
+        exact = evaluate(dens, assign)
         oracle = _numeric_integrate_trace(s6, assign, trace_of)
         assert exact == oracle

@@ -11,10 +11,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wres6"
 # name -> why it stays although no package module uses it
 ALLOWED = {
     "phi_total": "benchmark span target (perfbench/child.py SPAN_TARGETS)",
-    "contour_integral_cauchy": "test oracle, to move into tests/oracles.py",
     "gamma_moment": "test oracle, to move into tests/oracles.py",
-    "element_to_matrix": "test oracle, to move into tests/oracles.py",
-    "mat_trace": "test oracle, to move into tests/oracles.py",
     "build_fdh_symbols": "test oracle, to move into tests/oracles.py",
     "printed_qinv_order": "printed data that is still to get a verdict",
     "forced_qinv4_correction": "printed data that is still to get a verdict",

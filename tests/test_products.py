@@ -18,8 +18,6 @@ import pytest
 
 from wres6.clifford import CliffordElement, _merge_words
 from wres6.scalars import (
-    G_I,
-    GaussRat,
     ScalarExpr,
     _mono_mul,
     dfunc,
@@ -72,19 +70,18 @@ def ref_compose(a: SymbolExpr, b: SymbolExpr, lowest: int, ctx) -> SymbolExpr:
                 da = da.derive_xi(mu)
                 db = db.derive_x(mu, ctx)
             fact = prod(factorial(alpha.count(j)) for j in set(alpha))
-            coeff = ScalarExpr.const((-G_I) ** k * Fraction(1, fact))
+            coeff = ScalarExpr.const(Fraction(1, fact))
             total = total + ref_symbol_mul(da, db).scale(coeff)
     return SymbolExpr({m: el for m, el in total.terms.items()
                        if xim_degree(m) >= lowest})
 
 
 def rand_scalar(r: random.Random, factors=FACTORS) -> ScalarExpr:
-    """One to three monomials with real, imaginary or complex coefficients."""
+    """One to three monomials with integral or fractional coefficients."""
     out = ScalarExpr.zero()
     for _ in range(r.randint(1, 3)):
-        re, im = r.choice([(r.randint(-3, 3), 0), (0, r.randint(-3, 3)),
-                           (Fraction(r.randint(-3, 3), 2), r.randint(1, 2))])
-        term = ScalarExpr.const(GaussRat(re, im))
+        term = ScalarExpr.const(r.choice([r.randint(-3, 3),
+                                          Fraction(r.randint(-3, 3), 2)]))
         for _ in range(r.randint(0, 2)):
             term = term * r.choice(factors)
         out = out + term
@@ -147,12 +144,11 @@ def test_compose_matches_reference_randomized(ctx):
 
 
 def test_products_that_cancel_leave_no_entries():
-    i = ScalarExpr.const(G_I)
     e1, e2 = CliffordElement.generator(1), CliffordElement.generator(2)
     one = CliffordElement.identity()
-    # (1 + i c1)(1 - i c1) = 1 + c1 c1 = 0: every word cancels
-    x, y = one + e1.scale(i), one - e1.scale(i)
-    assert (x * y).terms == {} and ref_clifford_mul(x, y).terms == {}
+    # (1 + c1)(1 - c1) = 1 - c1 c1 = 2: the c1 words cancel
+    x, y = one + e1, one - e1
+    assert (x * y).terms == {(): ScalarExpr.const(2)} == ref_clifford_mul(x, y).terms
     # (c1 + c2)^2 = -2: the signed c1 c2 and c2 c1 cancel
     s = e1 + e2
     assert (s * s).terms == {(): ScalarExpr.const(-2)} == ref_clifford_mul(s, s).terms
@@ -165,7 +161,7 @@ def test_products_that_cancel_leave_no_entries():
 
 def test_compose_correction_that_cancels_leaves_no_entry():
     # A = xi_1 d_2 f - xi_2 d_1 f, B = f: the order-0 correction
-    # -i (d_2 f d_1 f - d_1 f d_2 f) cancels, so A o B = A B
+    # d_2 f d_1 f - d_1 f d_2 f cancels, so A o B = A B
     a = (SymbolExpr.scalar_term(xim_xi(1), dfunc("f", 2))
          - SymbolExpr.scalar_term(xim_xi(2), dfunc("f", 1)))
     b = SymbolExpr.scalar_term(XIM_ONE, f_pow(1))
@@ -184,18 +180,20 @@ def test_memoized_monomial_product_matches_the_function():
 
 def test_unit_scale_costs_no_coefficient_product(monkeypatch):
     # on the empty word the sign is +1 and the scale is 1, so an n-monomial
-    # by m-monomial product takes exactly n*m GaussRat products
-    a = CliffordElement.identity(f_pow(1) + h_pow(-1) + wp() + fh_pow(-2))
-    b = CliffordElement.identity(s_atom() + ScalarExpr.atom(("f", (1,)), 1, G_I))
+    # by m-monomial product of Fraction coefficients takes exactly n*m
+    # Fraction products
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = CliffordElement.identity((f_pow(1) + h_pow(-1) + wp() + fh_pow(-2)) * half)
+    b = CliffordElement.identity(s_atom() * third + ScalarExpr.atom(("f", (1,)), 1, third))
     want = ref_clifford_mul(a, b)
     calls = []
-    mul = GaussRat.__mul__
+    mul = Fraction.__mul__
 
     def counting_mul(self, other):
         calls.append(other)
         return mul(self, other)
 
-    monkeypatch.setattr(GaussRat, "__mul__", counting_mul)
+    monkeypatch.setattr(Fraction, "__mul__", counting_mul)
     got = a * b
     monkeypatch.undo()
     assert len(calls) == 4 * 2

@@ -7,7 +7,6 @@ from wres6.calculus import build_q_symbols, interior_parametrix
 from wres6.clifford import CliffordElement
 from wres6.scalars import (
     CONNECTION_KINDS,
-    GaussRat,
     ScalarExpr,
     atom_str,
     dfunc,
@@ -47,13 +46,14 @@ def test_derive_xi_covector_gives_generator():
 
 
 def test_second_xi_derivative_on_boundary_slice():
-    # d^2/dxi_n^2 of (fh)^-2 |xi|^-2, restricted to |xi'| = 1:
-    # (fh)^-2 (6 xi_n^2 - 2) / (1 + xi_n^2)^3
+    # a stored symbol is a function of eta = i xi (the real gauge); at
+    # |xi'| = 1 its |eta|^2 is eta_n^2 - 1, so d^2/deta_n^2 of
+    # (fh)^-2 |eta|^-2 restricts to (fh)^-2 (6 eta_n^2 + 2) / (eta_n^2 - 1)^3
     S = SymbolExpr.scalar_term(xim_norm(-1), fh_pow(-2))
     dd = S.derive_xi(6).derive_xi(6)
     got = BoundaryExpr.from_symbol(dd)
     want = BoundaryExpr({((0, 0, 0, 0, 0), ()): XiRat.ratio(
-        (fh_pow(-2) * sc(-2), ScalarExpr.zero(), fh_pow(-2) * sc(6)), 3, 3)})
+        (fh_pow(-2) * sc(2), ScalarExpr.zero(), fh_pow(-2) * sc(6)), 3, 3)})
     assert got.terms == want.terms
 
 
@@ -81,11 +81,12 @@ def test_derive_x_boundary_normal_direction():
         xim_norm(-1), fh_pow(-2).derive_x(6) - fh_pow(-2) * wp())
     want = want + SymbolExpr.scalar_term(((0, 0, 0, 0, 0, 2), -2), fh_pow(-2) * wp())
     assert got == want
-    # restricted to |xi'| = 1 this is d_n[(fh)^-2]/(1+xi_n^2)
-    #                                - (fh)^-2 w'(0)/(1+xi_n^2)^2
+    # the same formula holds in eta = i xi; restricted to |xi'| = 1, where
+    # |eta'|^2 = -1 and |eta|^2 = eta_n^2 - 1, this is
+    # d_n[(fh)^-2]/(eta_n^2 - 1) + (fh)^-2 w'(0)/(eta_n^2 - 1)^2
     restricted = BoundaryExpr.from_symbol(got)
     want_rat = (XiRat.inv_norm(1).scale(fh_pow(-2).derive_x(6))
-                + XiRat.inv_norm(2).scale(-fh_pow(-2) * wp()))
+                + XiRat.inv_norm(2).scale(fh_pow(-2) * wp()))
     assert restricted.terms == {((0, 0, 0, 0, 0), ()): want_rat}
 
 
@@ -215,7 +216,7 @@ def test_cancelled_sums_leave_no_entries(pair):
 
 # one nonzero value, one zero value and one key of each container
 _SPARSE_SUMS = {
-    ScalarExpr: (((("f", ()), 1),), GaussRat(3), GaussRat(0)),
+    ScalarExpr: (((("f", ()), 1),), 3, 0),
     CliffordElement: ((1, 2), wp(), ScalarExpr.zero()),
     XiRat: ((1, 2), fh_pow(-2), ScalarExpr.zero()),
     SymbolExpr: (xim_xi(1), CliffordElement.generator(2), CliffordElement.zero()),
