@@ -11,9 +11,9 @@ the terms: d/deta_n acts term by term, the projection onto the principal
 part at eta_n = -1 (the content of the upper half-plane projection on
 rational symbols) keeps the (eta_n + 1)^-k terms, and the line integral
 over xi_n is 2 pi times the (eta_n + 1)^-1 coefficient.  ``XiRat`` and
-``BoundaryExpr`` are ``scalars.SparseSum``s, which hold their storage and
-their linear structure; this module adds their products and the eta_n
-calculus.
+``BoundaryExpr`` are ``scalars.SparseSum``s, which hold their storage, their
+linear structure and their product; this module gives the products of their
+keys and the eta_n calculus.
 
 The five boundary contributions are assembled from their definitions: the
 (r, l, j, k, alpha) data fixes which derivatives hit the projected factor
@@ -30,14 +30,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .calculus import build_q_symbols, invert_symbol
-from .clifford import TRACE_ID, _merge_words, word_str
+from .clifford import TRACE_ID, CliffordElement, word_str
 from .interior import sphere_moment
 from .scalars import (
     ScalarExpr,
     SparseSum,
     _accumulate,
     _as_scalar,
-    _mono_mul,
     omega4,
     pi_atom,
     sc,
@@ -91,35 +90,14 @@ def _basis_mul(u: tuple, v: tuple) -> tuple:
     return tuple(out.items())
 
 
-def _xirat_mul_into(raw: dict, a: "XiRat", b: "XiRat", scale=1) -> None:
-    """Add scale * a * b into ``raw``, a {basis: {monomial: rational}} dict."""
-    for u, c in a.terms.items():
-        for v, d in b.terms.items():
-            for w, g in _basis_mul(u, v):
-                acc = raw.setdefault(w, {})
-                g *= scale
-                unit = g == 1
-                for m1, g1 in c.terms.items():
-                    k = g1 if unit else g1 * g
-                    for m2, g2 in d.terms.items():
-                        _accumulate(acc, _mono_mul(m1, m2), k * g2)
-
-
-def _raw_xirat(raw: dict) -> "XiRat":
-    """The XiRat of a {basis: {monomial: nonzero rational}} dict."""
-    return XiRat({w: ScalarExpr._adopt(t) for w, t in raw.items()})
-
-
 class XiRat(SparseSum):
     """A rational function of eta_n with poles only at -1 and +1, kept as its
     partial-fraction expansion ``terms: {(s, k): ScalarExpr}`` (see
     ``_basis_mul`` for the basis)."""
 
     __slots__ = ()
-
-    @staticmethod
-    def const(e) -> "XiRat":
-        return XiRat({_UNIT: _as_scalar(e)})
+    _value = ScalarExpr
+    _key_mul = staticmethod(_basis_mul)
 
     @staticmethod
     def xin(power: int = 1) -> "XiRat":
@@ -139,16 +117,7 @@ class XiRat(SparseSum):
         """(eta_n^2 - 1)^(-p) for p >= 0."""
         return XiRat.ratio((ScalarExpr.one(),), p, p)
 
-    def __mul__(self, other: "XiRat") -> "XiRat":
-        if not isinstance(other, XiRat):
-            return NotImplemented
-        raw: dict = {}
-        _xirat_mul_into(raw, self, other)
-        return _raw_xirat(raw)
-
-    def scale(self, e) -> "XiRat":
-        e = _as_scalar(e)
-        return XiRat({key: c * e for key, c in self.terms.items()})
+    __mul__ = SparseSum.mul
 
     def derive(self) -> "XiRat":
         """d/deta_n, term by term."""
@@ -206,6 +175,16 @@ class BoundaryExpr(SparseSum):
     """
 
     __slots__ = ()
+    _value = XiRat
+
+    @staticmethod
+    def _key_mul(u: tuple, v: tuple) -> tuple:
+        """The product of two keys; two implicit factors i make the sign -1."""
+        (xp1, w1), (xp2, w2) = u, v
+        ((w, sign),) = CliffordElement._key_mul(w1, w2)
+        if sum(xp1) % 2 and sum(xp2) % 2:
+            sign = -sign
+        return (((tuple(a + b for a, b in zip(xp1, xp2)), w), sign),)
 
     @staticmethod
     def from_symbol(S: SymbolExpr) -> "BoundaryExpr":
@@ -232,24 +211,11 @@ class BoundaryExpr(SparseSum):
                 _accumulate(out, (xp, w), base.scale(coeff))
         return BoundaryExpr(out)
 
-    def mul(self, other: "BoundaryExpr") -> "BoundaryExpr":
-        """The product; two implicit factors i make the sign -1."""
-        raw: dict = {}
-        for (xp1, w1), r1 in self.terms.items():
-            odd = sum(xp1) % 2
-            for (xp2, w2), r2 in other.terms.items():
-                sign, w = _merge_words(w1, w2)
-                if odd and sum(xp2) % 2:
-                    sign = -sign
-                xp = tuple(a + b for a, b in zip(xp1, xp2))
-                _xirat_mul_into(raw.setdefault((xp, w), {}), r1, r2, sign)
-        return BoundaryExpr({key: _raw_xirat(r) for key, r in raw.items()})
-
     def derive_xin(self) -> "BoundaryExpr":
-        return BoundaryExpr({k: r.derive() for k, r in self.terms.items()})
+        return self.map(XiRat.derive)
 
     def pi_plus(self) -> "BoundaryExpr":
-        return BoundaryExpr({k: r.pi_plus() for k, r in self.terms.items()})
+        return self.map(XiRat.pi_plus)
 
     def trace(self) -> "BoundaryExpr":
         """Spinor trace: keeps the empty word, multiplied by tr[id] = 8."""

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 
-from .clifford import _merge_words, c_of_d, raw_element
+from .clifford import CliffordElement, c_of_d
 from .scalars import (
-    _accumulate,
     curv0,
     f_pow,
     fh_pow,
@@ -77,16 +76,12 @@ class RouteDisagreement(RuntimeError):
 def build_d_symbols() -> SymbolExpr:
     """sigma(D): order 1 is i c(xi), stored in the real gauge as c(xi);
     order 0 the frame-connection cubic -1/4 omega_{s,t}(e_i) c_i c_s c_t,
-    summed into one raw dict."""
-    order1 = SymbolExpr.xi_covector()
-    raw: dict = {}
-    for i, s, t in product(range(1, 7), repeat=3):
-        sign_is, w_is = _merge_words((i,), (s,))
-        sign, w = _merge_words(w_is, (t,))
-        coeff = omega(i, s, t) * sc(-sign_is * sign, 4)  # zero for s == t
-        for mono, c in coeff.terms.items():
-            _accumulate(raw.setdefault(w, {}), mono, c)
-    return order1 + SymbolExpr.term(XIM_ONE, raw_element(raw))
+    which is -1/2 sum_i c_i sum_{s<t} omega_{s,t}(e_i) c_s c_t."""
+    cubic = CliffordElement.zero()
+    for i in range(1, 7):
+        cubic = cubic + CliffordElement.generator(i) * CliffordElement(
+            {(s, t): omega(i, s, t) for s, t in combinations(range(1, 7), 2)})
+    return SymbolExpr.xi_covector() + SymbolExpr.term(XIM_ONE, cubic.scale(sc(-1, 2)))
 
 
 def build_d2_symbols() -> SymbolExpr:

@@ -7,19 +7,18 @@ The spinor trace sends the identity to 2^(6/2) = 8 and every nonempty
 canonical word to 0.
 
 ``CliffordElement`` is a ``scalars.SparseSum`` (word -> ScalarExpr), which
-holds its storage and its linear structure; this module adds the product.
-Every product adds into a raw ``{word: {monomial: rational}}`` dict
-(``mul_into``), whose coefficients are ints wherever they are integral, and
-each ``ScalarExpr`` is built once (``raw_element``).  The relations have
-real structure constants (Cl_{0,6} is the real matrix algebra M_8(R)), so
-every coefficient stays rational.
+holds its storage, its linear structure and its product; this module gives
+the product of two words.  The relations have real structure constants
+(Cl_{0,6} is the real matrix algebra M_8(R)), so every coefficient stays
+rational.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
-from .scalars import ScalarExpr, SparseSum, _accumulate, _as_scalar, _mono_mul
+from .scalars import ScalarExpr, SparseSum, _as_scalar
 
 TRACE_ID = 8  # 2^(n/2) with n = 6, fixed for this artifact
 
@@ -43,32 +42,18 @@ def _merge_words(w1: tuple, w2: tuple) -> tuple[int, tuple]:
     return sign, tuple(out)
 
 
-def mul_into(raw: dict, a: "CliffordElement", b: "CliffordElement",
-             scale=1) -> None:
-    """Add scale * a * b into ``raw``, a {word: {monomial: rational}} dict."""
-    neg = -scale
-    unit = scale == 1
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            sign, w = _merge_words(w1, w2)
-            acc = raw.setdefault(w, {})
-            k = scale if sign > 0 else neg
-            skip = unit and sign > 0
-            for m1, g1 in c1.terms.items():
-                g = g1 if skip else g1 * k
-                for m2, g2 in c2.terms.items():
-                    _accumulate(acc, _mono_mul(m1, m2), g * g2)
-
-
-def raw_element(raw: dict) -> "CliffordElement":
-    """The element of a {word: {monomial: nonzero rational}} dict."""
-    return CliffordElement({w: ScalarExpr._adopt(t) for w, t in raw.items()})
-
-
 class CliffordElement(SparseSum):
     """Canonical-form element: map from word to ScalarExpr coefficient."""
 
     __slots__ = ()
+    _value = ScalarExpr
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _key_mul(w1: tuple, w2: tuple) -> tuple:
+        """The product of two words, ((word, sign),)."""
+        sign, w = _merge_words(w1, w2)
+        return ((w, sign),)
 
     @staticmethod
     def identity(coeff=1) -> "CliffordElement":
@@ -92,19 +77,10 @@ class CliffordElement(SparseSum):
         """c(v) = sum_j v_j c_j for a covector with given components."""
         return CliffordElement({(j,): components[j - 1] for j in range(1, 7)})
 
-    def scale(self, s) -> "CliffordElement":
-        s = _as_scalar(s)
-        return CliffordElement({w: c * s for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        raw: dict = {}
-        mul_into(raw, self, other)
-        return raw_element(raw)
-
-    def __hash__(self):
-        return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
+        return self.mul(other)
 
     def trace(self) -> ScalarExpr:
         """Spinor trace: tr(id) = 8, nonempty canonical words trace to 0."""
@@ -112,9 +88,6 @@ class CliffordElement(SparseSum):
 
     def scalar_part(self) -> ScalarExpr:
         return self.terms.get((), ScalarExpr.zero())
-
-    def map_scalars(self, fn) -> "CliffordElement":
-        return CliffordElement({w: fn(c) for w, c in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -20,7 +20,6 @@ from functools import lru_cache
 from math import factorial
 
 from .calculus import qinv_square_sigma6
-from .clifford import TRACE_ID
 from .scalars import ScalarExpr, area_s6, s_atom, subst_area
 from .symbols import SymbolExpr
 
@@ -128,15 +127,11 @@ def integrate_trace(order6: SymbolExpr, contract: bool = True) -> ScalarExpr:
     ``contract`` resolves surviving diagonal Riemann families into the
     scalar curvature; disable it to integrate partial term chunks.
     """
-    restricted = order6.restrict_sphere()
     total = ScalarExpr.zero()
-    for (exps, word), coeff in restricted.items():
-        if word:
-            continue  # nonempty canonical words are traceless
+    for (exps, _), el in order6.terms.items():
         m = sphere_moment(exps)
-        if not m:
-            continue
-        total = total + coeff * TRACE_ID * ScalarExpr.const(m)
+        if m:
+            total = total + el.trace() * m
     if contract:
         total = _contract_riemann(total)
     return total * area_s6() * -1  # i^-6

@@ -19,10 +19,11 @@ Arithmetic is exact and never produces a float: each coefficient is an
 ``int`` when integral and a ``Fraction`` otherwise.  All values are immutable
 after construction, so expressions are safe to share freely.
 
-``SparseSum`` holds the storage and the linear structure (an immutable
-``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) of five
-containers: ``ScalarExpr`` and the Clifford, symbol and two boundary
-containers built on it.
+``SparseSum`` holds the storage, the linear structure (an immutable
+``{key: nonzero value}`` dict with ``+``, ``-`` and ``==``) and the product
+of five containers: ``ScalarExpr`` and the Clifford, symbol and two boundary
+containers built on it.  ``mul_into`` is the one product loop; a container
+gives only the type of its values and the product of two of its keys.
 """
 
 from __future__ import annotations
@@ -124,14 +125,39 @@ def _accumulate(out: dict, key, value) -> None:
     out[key] = value
 
 
+def mul_into(raw: dict, a: "SparseSum", b: "SparseSum", scale=1) -> None:
+    """Add scale * a * b into ``raw``, the product loop of every container.
+
+    ``raw`` nests one dict per level down to {monomial: rational}: a
+    ``ScalarExpr`` product adds into {monomial: rational}, a product of
+    ``CliffordElement``s into {word: {monomial: rational}}, and so on.  Keys
+    multiply by ``a._key_mul``, which gives ((key, rational), ...), and their
+    values multiply one level down.  A factor of exactly 1 costs no product.
+    """
+    unit = scale == 1
+    if type(a) is ScalarExpr:
+        for m1, c1 in a.terms.items():
+            k = c1 if unit else c1 * scale
+            for m2, c2 in b.terms.items():
+                _accumulate(raw, _mono_mul(m1, m2), k * c2)
+        return
+    key_mul = a._key_mul
+    for u, x in a.terms.items():
+        for v, y in b.terms.items():
+            for w, g in key_mul(u, v):
+                mul_into(raw.setdefault(w, {}), x, y, g if unit else g * scale)
+
+
 class SparseSum:
     """An immutable sum ``terms: {key: nonzero value}``.
 
-    The storage and the linear structure of five containers:
+    The storage, the linear structure and the product of five containers:
     ``ScalarExpr``, ``CliffordElement``, ``SymbolExpr``, ``XiRat`` and
     ``BoundaryExpr``.  Construction drops falsy values (``_adopt`` takes a
     dict that has none), so equal sums have equal dicts and ``==`` is a dict
-    compare.  Subclasses add their products and their printing.
+    compare.  A container gives ``_value``, the type of its values, and
+    ``_key_mul`` for ``mul_into``; it adds only its printing and its own
+    calculus.
     """
 
     __slots__ = ("terms",)
@@ -171,6 +197,30 @@ class SparseSum:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def mul(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot multiply {type(self).__name__} "
+                            f"by {type(other).__name__}")
+        raw: dict = {}
+        mul_into(raw, self, other)
+        return self._of_raw(raw)
+
+    @classmethod
+    def _of_raw(cls, raw: dict):
+        """The sum of a dict that ``mul_into`` filled; an inner dict may have
+        cancelled to empty."""
+        of = cls._value._of_raw
+        return cls({key: of(r) for key, r in raw.items()})
+
+    def map(self, fn):
+        """The sum with every value v replaced by fn(v)."""
+        return type(self)({key: fn(value) for key, value in self.terms.items()})
+
+    def scale(self, s):
+        """The sum times the scalar s."""
+        s = _as_scalar(s)
+        return self.map(lambda value: value.scale(s))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -245,12 +295,14 @@ class ScalarExpr(SparseSum):
         if not self.terms or not other.terms:
             return _SE_ZERO
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
+        mul_into(out, self, other)
         return ScalarExpr._adopt(out)
 
-    __rmul__ = __mul__
+    __rmul__ = scale = __mul__
+
+    @classmethod
+    def _of_raw(cls, raw: dict) -> "ScalarExpr":
+        return cls._adopt(raw)
 
     def __pow__(self, k: int):
         if k == 0:

@@ -7,7 +7,9 @@ xi-monomial is a pair ``(exps, p)`` meaning ``xi_1^e1 ... xi_6^e6 *
 exact, and the relation sum_j xi_j^2 = |xi|^2 is applied only by the
 restriction maps and by sphere integration.  A term's homogeneity order is
 the degree of its monomial, so it is read from the key and never stored;
-``SymbolExpr.orders`` is the view grouped by order.
+``SymbolExpr.orders`` is the view grouped by order.  The product is the
+one of ``scalars.SparseSum``; this module gives the product of two
+xi-monomials.
 
 Point contexts fix the evaluation rules at the computation point:
 
@@ -43,13 +45,14 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .clifford import CliffordElement, mul_into, raw_element, word_str
+from .clifford import CliffordElement, word_str
 from .scalars import (
     CONNECTION_KINDS,
     ScalarExpr,
     SparseSum,
     _accumulate,
     _as_scalar,
+    mul_into,
     sc,
     wp,
 )
@@ -117,10 +120,16 @@ class SymbolExpr(SparseSum):
     """Graded symbol: ``terms: {xi-monomial: CliffordElement}``.
 
     A term's homogeneity order is the degree of its xi-monomial;
-    ``orders`` groups the terms by it.
+    ``orders`` groups the terms by it.  ``mul`` is the pointwise product,
+    without the derivative corrections of ``compose``.
     """
 
     __slots__ = ()
+    _value = CliffordElement
+
+    @staticmethod
+    def _key_mul(m1: XiMon, m2: XiMon) -> tuple:
+        return ((xim_mul(m1, m2), 1),)
 
     # -- constructors --------------------------------------------------------
 
@@ -141,14 +150,8 @@ class SymbolExpr(SparseSum):
     def norm_sq(p: int = 1, coeff=1) -> "SymbolExpr":
         return SymbolExpr.scalar_term(xim_norm(p), _as_scalar(coeff))
 
-    # -- linear structure ----------------------------------------------------
-
-    def scale(self, s) -> "SymbolExpr":
-        s = _as_scalar(s)
-        return SymbolExpr({m: el.scale(s) for m, el in self.terms.items()})
-
     def cliff_lmul(self, c: CliffordElement) -> "SymbolExpr":
-        return SymbolExpr({m: c * el for m, el in self.terms.items()})
+        return self.map(c.mul)
 
     # -- homogeneity orders ----------------------------------------------------
 
@@ -172,13 +175,6 @@ class SymbolExpr(SparseSum):
     def sorted_terms(self):
         """Terms by order descending, then by xi-monomial."""
         return sorted(self.terms.items(), key=lambda kv: (-xim_degree(kv[0]), kv[0]))
-
-    # -- pointwise product (no derivative corrections) ------------------------
-
-    def mul(self, other: "SymbolExpr") -> "SymbolExpr":
-        raw: dict = {}
-        _mul_symbols_into(raw, self, other)
-        return _raw_symbol(raw)
 
     # -- xi-derivative ---------------------------------------------------------
 
@@ -212,7 +208,7 @@ class SymbolExpr(SparseSum):
         out: dict = {}
         boundary_n = ctx.is_boundary and j == N_COORD
         for (exps, p), el in self.terms.items():
-            dcoeff = el.map_scalars(lambda c: c.derive_x(j, geom="drop"))
+            dcoeff = el.map(lambda c: c.derive_x(j, geom="drop"))
             if dcoeff:
                 _accumulate(out, (exps, p), dcoeff)
             if boundary_n:
@@ -230,17 +226,6 @@ class SymbolExpr(SparseSum):
                     xn2[N_COORD - 1] += 2
                     _accumulate(out, (tuple(xn2), p - 1), -base)
         return SymbolExpr(out)
-
-    # -- restrictions ----------------------------------------------------------
-
-    def restrict_sphere(self) -> dict:
-        """{(exps, word): ScalarExpr} with the |xi|^(2p) factors dropped; at
-        |xi| = 1 a term of degree k is i^k times its value here."""
-        out: dict = {}
-        for (exps, p), el in self.terms.items():
-            for w, c in el.terms.items():
-                _accumulate(out, (exps, w), c)
-        return out
 
     # -- display ----------------------------------------------------------------
 
@@ -269,19 +254,6 @@ def _xi_gauge_str(r: ScalarExpr, k: int) -> str:
         return False, "i" if b == 1 else "-i" if b == -1 else f"{b}*i"
 
     return r.render(imaginary)
-
-
-def _mul_symbols_into(raw: dict, a: SymbolExpr, b: SymbolExpr,
-                      scale=1) -> None:
-    """Add scale * a * b into ``raw``, a {xi-monomial: {word: {monomial:
-    rational}}} dict."""
-    for m1, e1 in a.terms.items():
-        for m2, e2 in b.terms.items():
-            mul_into(raw.setdefault(xim_mul(m1, m2), {}), e1, e2, scale)
-
-
-def _raw_symbol(raw: dict) -> SymbolExpr:
-    return SymbolExpr({m: raw_element(r) for m, r in raw.items()})
 
 
 def _xi_form(coeffs: dict) -> SymbolExpr:
@@ -341,9 +313,9 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
     after this is applied to sigma(D^2) and sigma(D), where no monomial has
     two connection atoms, so the order of that fold never matters.
     """
-    out: dict = {}
+    raw: dict = {}
     for xm, el in S.terms.items():
-        acc: dict = {}
+        acc = raw.setdefault(xm, {})
         for w, coeff in el.terms.items():
             word = CliffordElement({w: ScalarExpr.one()})
             for mono, c in coeff.terms.items():
@@ -355,8 +327,7 @@ def apply_context(S: SymbolExpr, ctx: PointContext) -> SymbolExpr:
                         for _ in range(exp):
                             value = value * _connection_value(atom, ctx)
                 mul_into(acc, value, word)
-        out[xm] = raw_element(acc)
-    return SymbolExpr(out)
+    return SymbolExpr._of_raw(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -405,5 +376,5 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
                     if b not in dB_cache:
                         dB_cache[b] = reduce(lambda p, mu: p.derive_x(mu, ctx),
                                              alpha, part_b)
-                    _mul_symbols_into(raw, dA, dB_cache[b], scale)
-    return _raw_symbol(raw)
+                    mul_into(raw, dA, dB_cache[b], scale)
+    return SymbolExpr._of_raw(raw)

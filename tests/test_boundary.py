@@ -34,6 +34,7 @@ from oracles import (
     ratio_at,
     to_complex,
 )
+from test_products import rand_symbol
 
 rng = random.Random(2718)
 
@@ -64,7 +65,7 @@ def numeric(rat, z, assign=None):
 
 def test_trace_keeps_empty_words_times_8():
     xp, xq = (0, 0, 0, 0, 0), (2, 0, 0, 0, 0)
-    r1, r2, r3 = XiRat.inv_norm(2), XiRat.xin(1), XiRat.const(wp())
+    r1, r2, r3 = XiRat.inv_norm(2), XiRat.xin(1), XiRat.xin(0).scale(wp())
     e = BoundaryExpr({(xp, ()): r1, (xp, (1, 6)): r2,
                       (xq, ()): r3, (xq, (2,)): r1})
     assert e.trace().terms == {(xp, ()): r1.scale(sc(8)),
@@ -75,8 +76,8 @@ def test_normalization_cancels_common_factors():
     # (etan^2 - 1) / ((etan + 1)(etan - 1)) == 1, as values: nothing is cancelled
     num = (-ScalarExpr.one(), ScalarExpr.zero(), ScalarExpr.one())
     r = XiRat.ratio(num, 1, 1)
-    assert r == XiRat.const(ScalarExpr.one())
-    assert r != XiRat.const(sc(2))
+    assert r == XiRat.xin(0)
+    assert r != XiRat.xin(0).scale(sc(2))
     with pytest.raises(ValueError, match="pole orders must be nonnegative"):
         XiRat.ratio(num, -1, 0)
 
@@ -153,7 +154,7 @@ def test_pi_plus_first_order():
 
 
 def test_pi_plus_kills_polynomials():
-    assert XiRat.const(sc(7)).pi_plus().is_zero()
+    assert XiRat.xin(0).scale(sc(7)).pi_plus().is_zero()
     assert XiRat.xin(2).pi_plus().is_zero()
 
 
@@ -300,6 +301,22 @@ def test_boundary_sigma_flat_product_case_vanishes():
         if r:
             flat[key] = r
     assert flat == {}
+
+
+def test_boundary_restriction_is_multiplicative():
+    # the restriction to |xi'| = 1 is a ring map: the sign (-1)^(t // 2) of
+    # from_symbol and the -1 of two implicit factors i in BoundaryExpr.mul
+    # must agree with the symbol product for every parity of t
+    r = random.Random(11)
+    for _ in range(60):
+        S = rand_symbol(r, (2, 1, 0))
+        T = rand_symbol(r, (1, 0, -1, -2))
+        assert (BoundaryExpr.from_symbol(S.mul(T))
+                == BoundaryExpr.from_symbol(S).mul(BoundaryExpr.from_symbol(T)))
+    cxi = BoundaryExpr.from_symbol(SymbolExpr.xi_covector())
+    cxi_sq = BoundaryExpr.from_symbol(
+        SymbolExpr.xi_covector().mul(SymbolExpr.xi_covector()))
+    assert cxi.mul(cxi) == cxi_sq
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def strip_geom(S: SymbolExpr) -> SymbolExpr:
     """Drop every term carrying a geometric atom (keep pure f/h content)."""
     out = SymbolExpr.zero()
     for mono, el in S.terms.items():
-        kept = el.map_scalars(
+        kept = el.map(
             lambda c: ScalarExpr({m: x for m, x in c.terms.items()
                                   if all(a[0] in ("f", "h", "u") for a, _ in m)}))
         if kept:
@@ -49,7 +49,7 @@ def strip_geom(S: SymbolExpr) -> SymbolExpr:
 def set_f_h_to_one(S: SymbolExpr) -> SymbolExpr:
     out = SymbolExpr.zero()
     for mono, el in S.terms.items():
-        el2 = el.map_scalars(lambda c: c.map_func_atoms(
+        el2 = el.map(lambda c: c.map_func_atoms(
             lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()))
         if el2:
             out = out + SymbolExpr.term(mono, el2)
@@ -286,7 +286,7 @@ def test_specialization_coherence_numeric():
     def map_symbol(S):
         out = SymbolExpr.zero()
         for mono, el in S.terms.items():
-            el2 = el.map_scalars(lambda c: c.map_func_atoms(spec))
+            el2 = el.map(lambda c: c.map_func_atoms(spec))
             if el2:
                 out = out + SymbolExpr.term(mono, el2)
         return out

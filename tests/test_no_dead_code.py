@@ -4,6 +4,7 @@ class and module-level constant of ``src/wres6`` is read somewhere in
 below, and every module-level import is used by the module that makes it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wres6"
@@ -25,11 +26,18 @@ def _dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _defined(tree):
+    """(class, name) of each definition, class None outside a class body."""
+    owner = {item: node.name for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, _FUNCTIONS)}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
             if not _dunder(node.name):
-                yield node.name
+                yield owner.get(node), node.name
     for node in tree.body:  # module-level constants
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -40,25 +48,37 @@ def _defined(tree):
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name) and not _dunder(name.id):
-                    yield name.id
+                    yield None, name.id
 
 
 def _used(tree):
+    """(owner, name) of each read; the owner is the name K of an access
+    written K.name, else None."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             if not isinstance(node.ctx, ast.Store):  # an assignment is no use
-                yield node.id
+                yield None, node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            value = node.value
+            yield (value.id if isinstance(value, ast.Name) else None), node.attr
         elif isinstance(node, ast.alias):
-            yield node.asname or node.name
-            yield node.name
+            yield None, node.asname or node.name
+            yield None, node.name
 
 
 def unused_names(sources) -> set:
+    """The unused definitions, a method whose name several definitions share
+    written as K.name.  An access K.name, where class K defines name, uses
+    K's method only; any other access uses every definition of the name."""
     trees = [ast.parse(text) for text in sources]
-    used = {name for tree in trees for name in _used(tree)}
-    return {name for tree in trees for name in _defined(tree)} - used
+    defined = {d for tree in trees for d in _defined(tree)}
+    used = set()
+    for owner, name in (u for tree in trees for u in _used(tree)):
+        used.add((owner, name) if (owner, name) in defined else name)
+    shared = Counter(name for _, name in defined)
+    return {f"{cls}.{name}" if cls and shared[name] > 1 else name
+            for cls, name in defined
+            if name not in used and (cls, name) not in used}
 
 
 def _module_imports(tree):
@@ -88,6 +108,21 @@ def test_checker_sees_unused_definitions():
                "        return K\n",
                "def used():\n    return 1\n\ndef spare():\n    return 2\n"]
     assert unused_names(sources) == {"m", "spare"}
+
+
+def test_checker_reads_class_qualified_access_as_that_class_only():
+    # A.m and B.m share a name: A.m is used through A, B.m by nothing; n is
+    # read through an instance, which may be of either class; k is read
+    # through C, which does not define it, so both definitions count
+    sources = ["class A:\n    def m(self):\n        return 1\n\n"
+               "    def n(self):\n        return 2\n\n"
+               "    def k(self):\n        return 3\n\n"
+               "class B:\n    def m(self):\n        return 4\n\n"
+               "    def n(self):\n        return 5\n\n"
+               "    def k(self):\n        return 6\n\n"
+               "class C(A):\n    pass\n\n"
+               "A.m(C())\nC().n()\nC.k(B())\n"]
+    assert unused_names(sources) == {"B.m"}
 
 
 def test_checker_sees_unused_module_constants():

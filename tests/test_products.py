@@ -1,7 +1,9 @@
 """The flat products against a term-by-term reference.
 
 ``CliffordElement.__mul__``, ``SymbolExpr.mul`` and ``compose`` add every
-word x monomial product into one raw dict (``clifford.mul_into``).  The
+key x word x monomial product into one raw nested dict through
+``scalars.mul_into``, the product loop that every ``SparseSum`` container
+shares; a container gives only the product of two of its keys.  The
 reference below is the direct algorithm: one ``ScalarExpr`` product per pair
 of terms, a canonical word from ``_merge_words`` with its sign, and the
 pieces summed with ``+``; ``compose`` differentiates whole symbols and

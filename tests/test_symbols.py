@@ -5,9 +5,11 @@ import pytest
 from wres6.boundary import BoundaryExpr, XiRat
 from wres6.calculus import build_q_symbols, interior_parametrix
 from wres6.clifford import CliffordElement
+from wres6.interior import integrate_trace
 from wres6.scalars import (
     CONNECTION_KINDS,
     ScalarExpr,
+    area_s6,
     atom_str,
     dfunc,
     fh_pow,
@@ -242,9 +244,13 @@ def test_sparse_sum_containers_share_one_format(cls):
 
 
 def test_restrict_sphere_norm_powers():
+    # on the unit sphere |xi|^(2p) is 1: 5 |xi|^-6 integrates like 5, and
+    # 3 xi_1^2 |xi|^-8 like 3 xi_1^2, whose moment is 1/6 of the area; the
+    # trace gives 8 and the gauge i^-6 = -1
     S = SymbolExpr.scalar_term(xim_norm(-3), sc(5))
-    flat = S.restrict_sphere()
-    assert flat == {((0, 0, 0, 0, 0, 0), ()): sc(5)}
+    T = SymbolExpr.scalar_term((xim_xi(1, 2)[0], -4), sc(3))
+    assert integrate_trace(S) == sc(-40) * area_s6()
+    assert integrate_trace(S + T) == sc(-44) * area_s6()
 
 
 def test_restrict_boundary_norm_power():
@@ -260,7 +266,7 @@ def test_restrict_boundary_covector_splits():
     for a in range(1, 6):
         exps = [0] * 5
         exps[a - 1] = 1
-        want[(tuple(exps), (a,))] = XiRat.const(ScalarExpr.one())
+        want[(tuple(exps), (a,))] = XiRat.xin(0)
     want[((0, 0, 0, 0, 0), (6,))] = XiRat.xin(1)
     assert got.terms == want
 
