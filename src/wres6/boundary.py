@@ -322,10 +322,8 @@ def phi_case(case: str, specialize=None, ledger=None) -> BoundaryCaseResult:
         tables.printed_boundary_value(case), specialize, ledger))
 
 
-def phi_total(specialize=None) -> ScalarExpr:
+def phi_total() -> ScalarExpr:
     total = ScalarExpr.zero()
     for case in CASE_DATA:
         total = total + phi_case_value(case)
-    if specialize is not None:
-        total = total.map_func_atoms(specialize)
     return total

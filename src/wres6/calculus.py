@@ -18,12 +18,16 @@ and the two routes are required to agree exactly.
 
 Curvature closure
 -----------------
-Connection-derivative content (the curvature remainder ``curv0`` of the
-order-0 symbol of D^2 and all x-derivatives of connection atoms) is not
-re-derived from metric jets; it is dropped by the point-context rules, and
-the Riemann term of the order -4 inverse symbol is imported verbatim:
+The curvature is not re-derived from metric jets.  ``apply_context``
+evaluates the connection atoms (Gam, sig, om and the remainder ``curv0`` of
+the order-0 symbol of D^2) at the point before Q is assembled, and the
+Riemann term of the order -4 inverse symbol is imported verbatim:
 
     b_-4  +=  2/3 (fh)^-2 |xi|^-6 R_{alpha a alpha mu} xi_a xi_mu.
+
+``derive_x`` raises on a curvature or connection atom, and none reaches it:
+the recursion differentiates only the partial inverse, never q, and the
+order pair (-2, -4) of b_-4 at order -6 admits |alpha| = 0 only.
 
 The scalar-curvature part -1/4 (fh)^-2 |xi|^-4 s emerges from the recursion
 on its own through the retained 1/4 s term of the order-0 symbol.  Because
@@ -125,13 +129,6 @@ def build_q_symbols(ctx: PointContext | None = None) -> SymbolExpr:
     if set(q.orders) != {2, 1, 0}:
         raise AssertionError(f"Q symbol orders {sorted(q.orders)}")
     return q
-
-
-def build_fdh_symbols(ctx: PointContext = INTERIOR) -> SymbolExpr:
-    """sigma(fDh) built by composing sigma(D) with multiplication by h."""
-    h_sym = SymbolExpr.scalar_term(XIM_ONE, h_pow(1))
-    dh = compose(build_d_symbols(), h_sym, 0, ctx)
-    return dh.scale(f_pow(1))
 
 
 # ---------------------------------------------------------------------------

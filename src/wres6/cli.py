@@ -41,27 +41,14 @@ class CliError(Exception):
 # Specializations
 
 
-def _substitution(images: dict):
-    """Atom map sending (base, beta) to images[base] differentiated along
-    beta; function atoms of other bases stay as they are."""
-    def run(atom):
-        base, beta = atom
-        if base not in images:
-            return ScalarExpr.atom(atom)
-        image = images[base]
-        for j in beta:
-            image = image.derive_x(j)
-        return image
-    return run
-
-
-def parse_specialization(text: str):
-    """Parse a --specialize value into an atom-mapping function."""
+def parse_specialization(text: str) -> dict:
+    """Parse a --specialize value into the images {function: ScalarExpr}
+    that ``ScalarExpr.map_func_atoms`` substitutes."""
     spec = text.replace(" ", "")
     if spec == "f=1,h=1":
-        return _substitution({"f": ScalarExpr.one(), "h": ScalarExpr.one()})
+        return {"f": ScalarExpr.one(), "h": ScalarExpr.one()}
     if spec == "fh=1":
-        return _substitution({"h": f_pow(-1)})
+        return {"h": f_pow(-1)}
     if spec.startswith("f=u^") and ",h=u^" in spec:
         left, right = spec.split(",", 1)
         exps = (left[len("f=u^"):], right[len("h=u^"):])
@@ -73,7 +60,7 @@ def parse_specialization(text: str):
             raise CliError(f"unsupported specialization {text!r}: exponents "
                            f"have at most {MAX_EXPONENT_DIGITS} digits")
         p, q = map(int, exps)
-        return _substitution({"f": u_pow(p), "h": u_pow(q)})
+        return {"f": u_pow(p), "h": u_pow(q)}
     raise CliError(f"unsupported specialization {text!r}")
 
 

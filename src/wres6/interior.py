@@ -3,8 +3,8 @@
 The residue density at an interior point is the unit-sphere integral of the
 spinor trace of the order -6 symbol of Q^-2.  Monomial moments over the
 sphere are exact rationals times the area atom, generated by the standard
-delta-pairing recurrence; a Gamma-function closed form serves as an
-independent oracle in the tests.
+delta-pairing recurrence; a Gamma-function closed form in the tests serves
+as an independent oracle.
 
 The term table evaluates each line of the bundled printed expansion of the
 order -6 symbol with the forced trace/moment rules and compares against the
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .calculus import qinv_square_sigma6
 from .scalars import ScalarExpr, area_s6, s_atom, subst_area
@@ -63,26 +62,6 @@ def sphere_moment(exps, n: int = 6) -> Fraction:
     return _moment_ratio(exps, n)
 
 
-def gamma_moment(exps, n: int = 6) -> Fraction:
-    """Closed-form oracle: 2 prod((2a_i)! / (4^a_i a_i!)) / binomial growth.
-
-    For even exponents 2a_i the sphere moment divided by the area equals
-    Gamma(n/2) * prod Gamma(a_i + 1/2) / (pi^(n/2) Gamma(|a| + n/2)); for
-    even n every factor is rational after the pi powers cancel.
-    """
-    exps = tuple(exps)
-    if any(e % 2 for e in exps):
-        return Fraction(0)
-    a = [e // 2 for e in exps]
-    if n % 2:
-        raise ValueError("gamma_moment oracle implemented for even n only")
-    num = Fraction(1)
-    for ai in a:
-        num *= Fraction(factorial(2 * ai), 4 ** ai * factorial(ai))
-    half = n // 2
-    return num * Fraction(factorial(half - 1), factorial(sum(a) + half - 1))
-
-
 # ---------------------------------------------------------------------------
 # Traced integration over the unit sphere
 
@@ -117,24 +96,21 @@ def _contract_riemann(e: ScalarExpr) -> ScalarExpr:
     return out
 
 
-def integrate_trace(order6: SymbolExpr, contract: bool = True) -> ScalarExpr:
+def integrate_trace(order6: SymbolExpr) -> ScalarExpr:
     """Integrate tr[.] of a restricted order -6 symbol over the unit sphere.
 
     Returns a ScalarExpr multiple of the area atom; the trace factor
     tr[id] = 8 is included, and so is the factor i^-6 = -1 that takes the
     real-gauge coefficients back to xi.  Input must be concentrated in
-    order -6 (the restriction makes |xi|^2 powers immaterial).
-    ``contract`` resolves surviving diagonal Riemann families into the
-    scalar curvature; disable it to integrate partial term chunks.
+    order -6 (the restriction makes |xi|^2 powers immaterial).  Surviving
+    diagonal Riemann families are contracted into the scalar curvature.
     """
     total = ScalarExpr.zero()
     for (exps, _), el in order6.terms.items():
         m = sphere_moment(exps)
         if m:
             total = total + el.trace() * m
-    if contract:
-        total = _contract_riemann(total)
-    return total * area_s6() * -1  # i^-6
+    return _contract_riemann(total) * area_s6() * -1  # i^-6
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +139,9 @@ def term_table(specialize=None, ledger=None) -> list[TermRecord]:
     return records
 
 
-def interior_density(sigma6: SymbolExpr | None = None) -> ScalarExpr:
+def interior_density() -> ScalarExpr:
     """Unit-sphere integral of tr[sigma_-6(Q^-2)], an area(S_6) multiple."""
-    if sigma6 is None:
-        sigma6 = qinv_square_sigma6()
-    return integrate_trace(sigma6)
+    return integrate_trace(qinv_square_sigma6())
 
 
 @dataclass(frozen=True)
@@ -183,8 +157,9 @@ def theorem_check_interior(specialize=None, ledger=None) -> InteriorComparison:
     """Compare the computed density with the bundled reference density.
 
     Both sides are expanded into the canonical f/h basis with tr[id] = 8 and
-    area(S_6) = pi^3 substituted.  ``specialize`` optionally maps function
-    atoms (see cli.parse_specialization) on both sides before comparison.
+    area(S_6) = pi^3 substituted.  ``specialize`` optionally substitutes
+    the function images of ``cli.parse_specialization`` on both sides
+    before comparison.
     """
     from . import tables
 

@@ -29,7 +29,7 @@ gives only the type of its values and the product of two of its keys.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Mapping
 
 MAX_DERIV_ORDER = 2
@@ -46,8 +46,8 @@ def _rational(x) -> int | Fraction:
 #
 # Atom encodings (plain tuples so monomials are hashable):
 #   ("f"|"h"|"u", beta)        function atom, beta a sorted tuple of coords
-#   ("s", beta)                scalar curvature (formal derivatives allowed)
-#   ("R", a, b, beta)          Riemann contraction R_{alpha a alpha b}, a<=b
+#   ("s", ())                  scalar curvature, never differentiated
+#   ("R", a, b, ())            Riemann contraction R_{alpha a alpha b}, a<=b
 #   ("wp",)                    w'(0), warp derivative at the boundary point
 #   ("Gam", mu)                contracted Christoffel Gamma^mu
 #   ("sig", mu)                contracted spin connection sigma^mu
@@ -58,7 +58,6 @@ def _rational(x) -> int | Fraction:
 FUNC_BASES = ("f", "h", "u")
 CONSTANT_ATOMS = frozenset([("wp",), ("S6",), ("Om4",), ("pi",)])
 CONNECTION_KINDS = frozenset(["Gam", "sig", "om", "curv0"])
-DROPPED_DERIV_KINDS = frozenset(["s", "R"]) | CONNECTION_KINDS
 
 _KIND_RANK = {"f": 0, "h": 1, "u": 2, "s": 3, "R": 4, "wp": 5, "Gam": 6,
               "sig": 7, "om": 8, "curv0": 9, "S6": 10, "Om4": 11, "pi": 12}
@@ -75,27 +74,12 @@ def atom_str(atom) -> str:
         if not beta:
             return kind
         return "d[%s]%s" % (",".join(map(str, beta)), kind)
-    if kind == "s":
-        beta = atom[1]
-        if not beta:
-            return "s"
-        return "d[%s]s" % ",".join(map(str, beta))
     if kind == "R":
         return "R[%d,%d]" % (atom[1], atom[2])
-    if kind == "wp":
-        return "wp"
-    if kind == "Gam":
-        return "Gam[%d]" % atom[1]
-    if kind == "sig":
-        return "sig[%d]" % atom[1]
-    if kind == "om":
-        return "om[%d,%d,%d]" % (atom[1], atom[2], atom[3])
-    if kind == "curv0":
-        return "curv0"
-    if kind in ("S6", "Om4"):
+    if kind in ("Gam", "sig", "om"):
+        return "%s[%s]" % (kind, ",".join(map(str, atom[1:])))
+    if kind in _KIND_RANK:  # s, wp, curv0 and the constants
         return kind
-    if kind == "pi":
-        return "pi"
     raise ValueError(f"unknown atom {atom!r}")
 
 
@@ -269,11 +253,11 @@ class ScalarExpr(SparseSum):
         return ScalarExpr({(): c})
 
     @staticmethod
-    def atom(atom, exp: int = 1, coeff=1) -> "ScalarExpr":
+    def atom(atom, exp: int = 1) -> "ScalarExpr":
         if exp == 0:
-            return ScalarExpr.const(coeff)
+            return _SE_ONE
         _validate_atom(atom, exp)
-        return ScalarExpr({((atom, exp),): _rational(coeff)})
+        return ScalarExpr({((atom, exp),): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -347,22 +331,21 @@ class ScalarExpr(SparseSum):
 
     # -- differentiation ---------------------------------------------------
 
-    def derive_x(self, j: int, geom: str = "formal") -> "ScalarExpr":
-        """Formal coordinate derivative d/dx_j.
+    def derive_x(self, j: int) -> "ScalarExpr":
+        """Coordinate derivative d/dx_j.
 
-        Leibniz over monomials; chain rule on powers.  ``geom`` controls what
-        happens when the derivative lands on a geometric atom: ``"formal"``
-        appends to its multi-index (only supported for ``s`` and ``R``),
-        ``"drop"`` discards the contribution (the point-context closure used
-        by the symbol calculus).  Constants (wp, S6, Om4, pi) differentiate
-        to zero either way.
+        Leibniz over monomials; chain rule on powers.  A function atom gains
+        the index j, up to ``MAX_DERIV_ORDER``; the constants (wp, S6, Om4,
+        pi) differentiate to zero.  A curvature or connection atom raises
+        ``DerivativeOrderError``: it is a value at the computation point,
+        with no derivative there.
         """
         if not 1 <= j <= 6:
             raise ValueError("coordinate index out of range")
         out: dict = {}
         for mono, coeff in self.terms.items():
             for idx, (atom, exp) in enumerate(mono):
-                datom = _atom_derivative(atom, j, geom)
+                datom = _atom_derivative(atom, j)
                 if datom is None:
                     continue
                 rest = _mono_with_exp(mono, idx, exp - 1)
@@ -371,17 +354,11 @@ class ScalarExpr(SparseSum):
 
     # -- substitution --------------------------------------------------------
 
-    def map_func_atoms(self, mapping: Callable[[tuple], "ScalarExpr"]) -> "ScalarExpr":
-        """Rewrite every function atom through ``mapping``; other atoms pass."""
-        return _rewrite_atoms(
-            self, lambda atom: mapping(atom) if atom[0] in FUNC_BASES else None)
-
-    def atoms(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for atom, _ in mono:
-                out.add(atom)
-        return out
+    def map_func_atoms(self, images: Mapping[str, "ScalarExpr"]) -> "ScalarExpr":
+        """Substitute images[b] for each function b in ``images``; the chain
+        rule sends d[beta]b to d_beta images[b], and other atoms pass."""
+        return _rewrite_atoms(self, lambda a: reduce(
+            ScalarExpr.derive_x, a[1], images[a[0]]) if a[0] in images else None)
 
     # -- display -----------------------------------------------------------
 
@@ -423,6 +400,8 @@ def _validate_atom(atom, exp):
             raise ValueError("derivative multi-index must be sorted")
         if beta and exp < 0:
             raise ValueError("derived atoms only enter with positive powers")
+    if kind in ("s", "R") and atom[-1]:
+        raise ValueError("curvature atoms carry no derivative")
     if kind == "R" and atom[1] > atom[2]:
         raise ValueError("R indices must be sorted")
     if kind == "om" and atom[2] >= atom[3]:
@@ -431,19 +410,19 @@ def _validate_atom(atom, exp):
 
 def _rewrite_atoms(e: ScalarExpr,
                    rewrite: Callable[[tuple], ScalarExpr | None]) -> ScalarExpr:
-    """Replace each atom for which ``rewrite(atom)`` is not None, then expand."""
-    out: dict = {}
+    """Replace each atom for which ``rewrite(atom)`` is not None, then expand;
+    a monomial's other atoms stay one (canonical) sub-monomial."""
+    raw: dict = {}
     for mono, coeff in e.terms.items():
-        piece = ScalarExpr.const(coeff)
+        keep, images = [], _SE_ONE
         for atom, exp in mono:
             rep = rewrite(atom)
             if rep is None:
-                piece = piece * ScalarExpr.atom(atom, exp)
+                keep.append((atom, exp))
             else:
-                piece = piece * rep ** exp
-        for m, c in piece.terms.items():
-            _accumulate(out, m, c)
-    return ScalarExpr(out)
+                images = images * rep ** exp
+        mul_into(raw, ScalarExpr._adopt({tuple(keep): coeff}), images)
+    return ScalarExpr._adopt(raw)
 
 
 def _pair_key(ae):
@@ -474,8 +453,8 @@ def _mono_with_exp(mono, idx, new_exp):
     return tuple(items)
 
 
-def _atom_derivative(atom, j, geom):
-    """Derivative of a single atom, or None if it vanishes / is dropped."""
+def _atom_derivative(atom, j):
+    """Derivative of a single atom, or None for a constant."""
     kind = atom[0]
     if kind in FUNC_BASES:
         beta = atom[1]
@@ -485,15 +464,8 @@ def _atom_derivative(atom, j, geom):
         return (kind, tuple(sorted(beta + (j,))))
     if atom in CONSTANT_ATOMS:
         return None
-    if kind in DROPPED_DERIV_KINDS:
-        if geom == "drop":
-            return None
-        if kind == "s":
-            return ("s", tuple(sorted(atom[1] + (j,))))
-        if kind == "R":
-            raise DerivativeOrderError("formal derivative of R atoms is unsupported")
-        raise DerivativeOrderError(f"formal derivative of {atom_str(atom)} is unsupported")
-    raise ValueError(f"unknown atom {atom!r}")
+    raise DerivativeOrderError(
+        f"{atom_str(atom)} is a value at the point and has no derivative")
 
 
 def _mono_key(mono):
@@ -544,10 +516,6 @@ def fh_pow(p: int = 1) -> ScalarExpr:
     return f_pow(p) * h_pow(p)
 
 
-def dfunc(base: str, *beta: int) -> ScalarExpr:
-    return ScalarExpr.atom((base, tuple(sorted(beta))))
-
-
 def s_atom() -> ScalarExpr:
     return ScalarExpr.atom(("s", ()))
 
@@ -570,12 +538,8 @@ def sig(mu: int) -> ScalarExpr:
 
 
 def omega(i: int, s: int, t: int) -> ScalarExpr:
-    """omega_{s,t}(e_i); antisymmetric in (s,t)."""
-    if s == t:
-        return ScalarExpr.zero()
-    if s < t:
-        return ScalarExpr.atom(("om", i, s, t))
-    return -ScalarExpr.atom(("om", i, t, s))
+    """omega_{s,t}(e_i) for s < t."""
+    return ScalarExpr.atom(("om", i, s, t))
 
 
 def curv0() -> ScalarExpr:
@@ -640,12 +604,7 @@ _SUM_TERMS = {
 
 
 def _is_derivative_atom(atom) -> bool:
-    kind = atom[0]
-    if kind in FUNC_BASES:
-        return bool(atom[1])
-    if kind == "s":
-        return bool(atom[1])
-    return False
+    return atom[0] in FUNC_BASES and bool(atom[1])
 
 
 def _prefactor_split(mono):

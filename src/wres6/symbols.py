@@ -19,9 +19,9 @@ Point contexts fix the evaluation rules at the computation point:
   w'(0)|xi'|^2 and the connection atoms take their boundary values
   (Gam[n] -> 5/2 w', sig[k] -> 1/4 w' c_k c_n for k < n, sig[n] -> 0).
 
-x-derivatives of curvature-type atoms are dropped in both modes: their net
-effect on the inverse symbols is carried by the imported curvature terms of
-the order -4 symbol (see calculus module).
+Connection atoms are evaluated by ``apply_context`` before Q is assembled and
+the curvature enters only through the imported Riemann term of b_-4 (see the
+calculus module), so ``derive_x`` raises on a curvature or connection atom.
 
 The real gauge
 --------------
@@ -64,9 +64,9 @@ XiMon = tuple  # ((e1..e6), p)
 XIM_ONE: XiMon = ((0, 0, 0, 0, 0, 0), 0)
 
 
-def xim_xi(j: int, k: int = 1) -> XiMon:
+def xim_xi(j: int) -> XiMon:
     e = [0] * 6
-    e[j - 1] = k
+    e[j - 1] = 1
     return (tuple(e), 0)
 
 
@@ -200,15 +200,16 @@ class SymbolExpr(SparseSum):
     def derive_x(self, j: int, ctx: PointContext) -> "SymbolExpr":
         """d/dx_j at the computation point under the context rules.
 
-        Scalar coefficients differentiate with the curvature-closure drop;
-        |xi|^(2p) contributes p * w'(0) |xi'|^2 |xi|^(2p-2) in boundary mode
-        for j = n and nothing otherwise; Clifford words are covariantly
-        constant at the point in interior mode.
+        Scalar coefficients differentiate by ``ScalarExpr.derive_x``, which
+        raises on a curvature or connection atom; |xi|^(2p) contributes
+        p * w'(0) |xi'|^2 |xi|^(2p-2) in boundary mode for j = n and nothing
+        otherwise; Clifford words are covariantly constant at the point in
+        interior mode.
         """
         out: dict = {}
         boundary_n = ctx.is_boundary and j == N_COORD
         for (exps, p), el in self.terms.items():
-            dcoeff = el.map(lambda c: c.derive_x(j, geom="drop"))
+            dcoeff = el.map(lambda c: c.derive_x(j))
             if dcoeff:
                 _accumulate(out, (exps, p), dcoeff)
             if boundary_n:

@@ -344,8 +344,9 @@ def judge(location: str, computed: ScalarExpr, paper: ScalarExpr,
           specialize=None, ledger=None):
     """(computed, paper, verdict, ledger location) of one verdict row.
 
-    ``specialize`` maps the function atoms of both sides and of the frozen
-    difference; ``ledger`` defaults to the bundled one.
+    ``specialize``, the images of ``cli.parse_specialization``, is
+    substituted into both sides and into the frozen difference; ``ledger``
+    defaults to the bundled one.
     """
     def spec(e: ScalarExpr) -> ScalarExpr:
         return e if specialize is None else e.map_func_atoms(specialize)

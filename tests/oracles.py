@@ -1,8 +1,13 @@
-"""Independent routes the tests check the package against.
+"""Independent routes the tests check the package against, and the builders
+the tests use.
 
-Exact oracles: ``evaluate`` takes a value at rational atom values, the
-matrix oracle represents the Clifford algebra by six integer 8x8 matrices,
-and ``contour_integral_cauchy`` takes a line integral by the Cauchy formula
+Builders: ``dfunc`` makes a derived function atom, ``atoms`` lists the atoms
+of a value, and ``build_fdh_symbols`` composes sigma(fDh) from sigma(D).
+
+Exact oracles: ``gamma_moment`` takes a sphere moment in closed form,
+``evaluate`` takes a value at rational atom values, the matrix oracle
+represents the Clifford algebra by six integer 8x8 matrices, and
+``contour_integral_cauchy`` takes a line integral by the Cauchy formula
 instead of reading a residue.
 
 Floating-point oracles: the package computes exactly and never produces a
@@ -20,6 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from wres6.boundary import DecayError, XiRat
+from wres6.calculus import build_d_symbols
 from wres6.scalars import (
     ScalarExpr,
     _atom_key,
@@ -35,6 +41,44 @@ from wres6.scalars import (
     lap,
     pi_atom,
 )
+from wres6.symbols import XIM_ONE, SymbolExpr, compose
+
+
+def dfunc(base: str, *beta: int) -> ScalarExpr:
+    """The derived function atom d[beta]base."""
+    return ScalarExpr.atom((base, tuple(sorted(beta))))
+
+
+def atoms(e: ScalarExpr) -> set:
+    """The atoms that occur in e."""
+    return {atom for mono in e.terms for atom, _ in mono}
+
+
+def build_fdh_symbols(ctx) -> SymbolExpr:
+    """sigma(fDh) built by composing sigma(D) with multiplication by h."""
+    h_sym = SymbolExpr.scalar_term(XIM_ONE, h_pow(1))
+    dh = compose(build_d_symbols(), h_sym, 0, ctx)
+    return dh.scale(f_pow(1))
+
+
+def gamma_moment(exps, n: int = 6) -> Fraction:
+    """Closed-form oracle: 2 prod((2a_i)! / (4^a_i a_i!)) / binomial growth.
+
+    For even exponents 2a_i the sphere moment divided by the area equals
+    Gamma(n/2) * prod Gamma(a_i + 1/2) / (pi^(n/2) Gamma(|a| + n/2)); for
+    even n every factor is rational after the pi powers cancel.
+    """
+    exps = tuple(exps)
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    a = [e // 2 for e in exps]
+    if n % 2:
+        raise ValueError("gamma_moment oracle implemented for even n only")
+    num = Fraction(1)
+    for ai in a:
+        num *= Fraction(factorial(2 * ai), 4 ** ai * factorial(ai))
+    half = n // 2
+    return num * Fraction(factorial(half - 1), factorial(sum(a) + half - 1))
 
 
 def evaluate(e: ScalarExpr, assign):

@@ -30,7 +30,6 @@ from wres6.calculus import (
 )
 from wres6.clifford import CliffordElement
 from wres6.interior import (
-    gamma_moment,
     sphere_moment,
     term_table,
     theorem_check_interior,
@@ -52,6 +51,7 @@ from oracles import (
     element_to_matrix,
     evaluate,
     evaluate_complex,
+    gamma_moment,
     mat_trace,
     ratio_at,
 )
@@ -170,7 +170,7 @@ def test_criterion_5_kkw_specialization():
     from wres6.interior import interior_density
     from wres6.scalars import subst_area
 
-    one = lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()
+    one = {"f": ScalarExpr.one(), "h": ScalarExpr.one()}
     dens = subst_area(interior_density()).map_func_atoms(one)
     assert dens == sc(-4, 3) * s_atom() * pi_atom(3)
     _ok(5, "f = h = 1 interior density is exactly -(4/3) pi^3 s")

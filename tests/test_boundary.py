@@ -30,6 +30,7 @@ from oracles import (
     contour_integral_cauchy,
     contour_quadrature,
     evaluate_complex,
+    atoms,
     evaluate_xirat,
     ratio_at,
     to_complex,
@@ -383,12 +384,12 @@ def test_case_b_diff_is_exactly_the_ledgered_correction():
 def test_phi_case_values_against_quadrature():
     """End-to-end numeric oracle for the definitional case integrands."""
     par = boundary_parametrix()
-    atoms = set()
+    found = set()
     for S in (par.b2, par.b3):
         for o, terms in S.orders.items():
             for mono, el in terms.items():
                 for w, c in el.terms.items():
-                    atoms |= c.atoms()
+                    found |= atoms(c)
     local = random.Random(5151)
     for case in ("b", "c"):
         left_order = CASE_DATA[case]["r"]
@@ -399,7 +400,7 @@ def test_phi_case_values_against_quadrature():
         exact = integ.contour_integral()
         for _ in range(3):
             assign = {a: Fraction(local.randint(1, 7), local.randint(1, 3))
-                      for a in sorted(atoms)}
+                      for a in sorted(found)}
             num_assign = {a: to_complex(v) for a, v in assign.items()}
             num_assign[("Om4",)] = 1.0
             quad = contour_quadrature(

@@ -8,7 +8,6 @@ from wres6 import tables
 from wres6.calculus import qinv_square_sigma6
 from wres6.interior import (
     FreeIndexError,
-    gamma_moment,
     integrate_trace,
     interior_density,
     sphere_moment,
@@ -29,7 +28,15 @@ from wres6.scalars import (
 )
 from wres6.symbols import SymbolExpr, xim_degree, xim_norm
 
-from oracles import evaluate, mat_identity, mat_mul, mat_trace, matrix_oracle
+from oracles import (
+    atoms,
+    evaluate,
+    gamma_moment,
+    mat_identity,
+    mat_mul,
+    mat_trace,
+    matrix_oracle,
+)
 
 rng = random.Random(404)
 
@@ -159,21 +166,26 @@ def test_term_record_4_value():
 
 
 def test_partition_property():
-    """Integrating the whole symbol equals summing over any term partition.
+    """Integrating the whole symbol equals summing over a term partition.
 
-    Compared before the Riemann contraction, which is only defined on
-    complete diagonal families.
+    The Riemann contraction is only defined on complete diagonal families,
+    so the terms that carry an R atom stay together in one part; every
+    other term is a part of its own.
     """
     s6 = qinv_square_sigma6()
-    total = integrate_trace(s6, contract=False)
-    acc = ScalarExpr.zero()
+    curved = SymbolExpr({mono: el for mono, el in s6.terms.items()
+                         if any(a[0] == "R" for c in el.terms.values()
+                                for a in atoms(c))})
+    assert curved
+    acc = integrate_trace(curved)
     for mono, el in s6.terms.items():
-        acc = acc + integrate_trace(SymbolExpr.term(mono, el), contract=False)
-    assert acc == total
+        if mono not in curved.terms:
+            acc = acc + integrate_trace(SymbolExpr.term(mono, el))
+    assert acc == integrate_trace(s6)
 
 
 def test_flat_density_is_kkw_value():
-    one = lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()
+    one = {"f": ScalarExpr.one(), "h": ScalarExpr.one()}
     dens = subst_area(interior_density()).map_func_atoms(one)
     assert dens == sc(-4, 3) * s_atom() * pi_atom(3)
 
@@ -191,7 +203,7 @@ def test_theorem_diff_byte_stable():
 
 
 def test_theorem_flat_specialization_matches():
-    one = lambda a: ScalarExpr.one() if not a[1] else ScalarExpr.zero()
+    one = {"f": ScalarExpr.one(), "h": ScalarExpr.one()}
     cmp1 = theorem_check_interior(specialize=one)
     assert cmp1.verdict == "match"
 
@@ -246,13 +258,13 @@ def test_term_13_numeric_oracle():
     trace_of = _word_traces()
     local = random.Random(131)
     for _ in range(20):
-        atoms = set()
+        found = set()
         for o, terms in line.orders.items():
             for mono, el in terms.items():
                 for w, cf in el.terms.items():
-                    atoms |= cf.atoms()
+                    found |= atoms(cf)
         assign = {a: Fraction(local.randint(1, 9), local.randint(1, 4))
-                  for a in sorted(atoms)}
+                  for a in sorted(found)}
         assign[("S6",)] = 1
         assert evaluate(forced, assign) == _numeric_integrate_trace(line, assign, trace_of)
 
@@ -260,17 +272,17 @@ def test_term_13_numeric_oracle():
 def test_density_numeric_oracle_matrix_trace_and_gamma_moments():
     """Record-13-style oracle on the full computed symbol, 100 draws."""
     s6 = qinv_square_sigma6()
-    atoms = set()
+    found = set()
     for o, terms in s6.orders.items():
         for mono, el in terms.items():
             for w, c in el.terms.items():
-                atoms |= c.atoms()
-    dens = interior_density(s6)
+                found |= atoms(c)
+    dens = interior_density()
     trace_of = _word_traces()
     local = random.Random(17)
     for _ in range(100):
         assign = {}
-        for a in sorted(atoms):
+        for a in sorted(found):
             if a[0] in ("f", "h") and not a[1]:
                 assign[a] = Fraction(local.randint(1, 9), local.randint(1, 4))
             else:

@@ -1,7 +1,9 @@
 """The package holds only what the package uses: every function, method,
 class and module-level constant of ``src/wres6`` is read somewhere in
 ``src/wres6`` outside its own definition, apart from the allow-listed names
-below, and every module-level import is used by the module that makes it."""
+below; every keyword default is overridden by some call in ``src/wres6``,
+so that no parameter is set by tests alone; and every module-level import is
+used by the module that makes it."""
 
 import ast
 from collections import Counter
@@ -12,13 +14,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wres6"
 # name -> why it stays although no package module uses it
 ALLOWED = {
     "phi_total": "benchmark span target (perfbench/child.py SPAN_TARGETS)",
-    "gamma_moment": "test oracle, to move into tests/oracles.py",
-    "build_fdh_symbols": "test oracle, to move into tests/oracles.py",
     "printed_qinv_order": "printed data that is still to get a verdict",
     "forced_qinv4_correction": "printed data that is still to get a verdict",
     "expected_sigma6_diff": "printed data that is still to get a verdict",
-    "dfunc": "test builder",
-    "atoms": "test builder",
+}
+
+# function.parameter -> why its default stays although no package call sets it
+ALLOWED_DEFAULTS = {
+    "main.argv": "entry point: the console script calls main() without argv",
 }
 
 
@@ -81,6 +84,54 @@ def unused_names(sources) -> set:
             if name not in used and (cls, name) not in used}
 
 
+def _defaults(tree):
+    """(function, parameter, position) of each parameter with a default; the
+    position counts the arguments a call passes, None for keyword-only."""
+    methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, _FUNCTIONS)}
+    for node in ast.walk(tree):
+        if not isinstance(node, _FUNCTIONS) or _dunder(node.name):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = node in methods and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield node.name, positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _calls(tree):
+    """(name, positional arguments, keywords) of each call, a starred
+    argument counted as any number and ``**`` as every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        every = any(k.arg is None for k in node.keywords)
+        yield (name, float("inf") if starred else len(node.args),
+               None if every else {k.arg for k in node.keywords})
+
+
+def unset_defaults(sources) -> set:
+    """``function.parameter`` of each default that no call overrides, by
+    keyword or by position; calls match definitions by name alone."""
+    trees = [ast.parse(text) for text in sources]
+    calls = [c for tree in trees for c in _calls(tree)]
+    return {f"{fn}.{param}"
+            for tree in trees for fn, param, pos in _defaults(tree)
+            if not any(name == fn and (keywords is None or param in keywords
+                                       or (pos is not None and npos > pos))
+                       for name, npos, keywords in calls)}
+
+
 def _module_imports(tree):
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -134,6 +185,25 @@ def test_checker_sees_unused_module_constants():
                "class K:\n    SLOT = 1  # not a module-level constant\n\n"
                "f(K())\n"]
     assert unused_names(sources) == {"DIM", "LO"}
+
+
+def test_every_default_is_set_by_a_package_call():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unset_defaults(sources) == set(ALLOWED_DEFAULTS)
+
+
+def test_checker_sees_defaults_only_tests_set():
+    # f.a is set by position, f.b by keyword, g's parameters by ** and f.e
+    # never; h.t is keyword-only, so *c does not set it; m's self takes no
+    # argument and the static s has none, so one argument sets only p
+    sources = ["def f(x, a=1, b=2, *, e=3):\n    return g()\n\n"
+               "def g(c=0, d=1):\n    return h(*c)\n\n"
+               "class K:\n    def m(self, p=1, q=2):\n        return p\n\n"
+               "    @staticmethod\n    def s(p=1, q=2):\n        return q\n\n"
+               "    def __init__(self, r=0):\n        pass\n\n"
+               "f(0, 1, b=2)\ng(**{})\nK().m(5)\nK.s(5)\n",
+               "def h(*args, t=None):\n    return args, t\n"]
+    assert unset_defaults(sources) == {"f.e", "h.t", "m.q", "s.q"}
 
 
 def test_every_module_import_is_used():

@@ -22,7 +22,6 @@ from wres6.clifford import CliffordElement, _merge_words
 from wres6.scalars import (
     ScalarExpr,
     _mono_mul,
-    dfunc,
     f_pow,
     fh_pow,
     h_pow,
@@ -40,9 +39,12 @@ from wres6.symbols import (
     xim_xi,
 )
 
-# scalar factors; the underived ones may be differentiated twice
-UNDERIVED = [f_pow(1), h_pow(-1), fh_pow(-2), wp(), s_atom()]
-FACTORS = UNDERIVED + [dfunc("f", 1), dfunc("h", 2, 6), dfunc("f", 3, 3)]
+from oracles import dfunc
+
+# scalar factors; the underived ones may be differentiated twice, so they
+# make the right factor of compose, and s, a value at the point, may not
+UNDERIVED = [f_pow(1), h_pow(-1), fh_pow(-2), wp()]
+FACTORS = UNDERIVED + [s_atom(), dfunc("f", 1), dfunc("h", 2, 6), dfunc("f", 3, 3)]
 
 
 def ref_clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -186,7 +188,7 @@ def test_unit_scale_costs_no_coefficient_product(monkeypatch):
     # Fraction products
     half, third = Fraction(1, 2), Fraction(1, 3)
     a = CliffordElement.identity((f_pow(1) + h_pow(-1) + wp() + fh_pow(-2)) * half)
-    b = CliffordElement.identity(s_atom() * third + ScalarExpr.atom(("f", (1,)), 1, third))
+    b = CliffordElement.identity(s_atom() * third + dfunc("f", 1) * third)
     want = ref_clifford_mul(a, b)
     calls = []
     mul = Fraction.__mul__

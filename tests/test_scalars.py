@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,21 +8,25 @@ from wres6.scalars import (
     DerivativeOrderError,
     ScalarExpr,
     area_s6,
-    dfunc,
+    curv0,
     f_pow,
     fh_pow,
     group_for_display,
+    gam,
     h_pow,
+    omega,
+    omega4,
     pi_atom,
     riem,
     s_atom,
     sc,
+    sig,
     subst_area,
     u_pow,
     wp,
 )
 
-from oracles import _solver_patterns, evaluate, rref_grouping
+from oracles import _solver_patterns, atoms, dfunc, evaluate, rref_grouping
 
 rng = random.Random(20240811)
 
@@ -43,7 +48,7 @@ def rand_expr(max_terms=4, allow_derivs=True):
             elif kind == 2:
                 mono = mono * dfunc(rng.choice("fh"), rng.randint(1, 6))
             else:
-                mono = mono * s_atom()
+                mono = mono * wp()
         e = e + mono
     return e
 
@@ -66,11 +71,7 @@ def test_ring_laws_randomized():
 
 
 def _f_h_to_u(e):
-    # a geometric atom reaching the mapping raises KeyError
-    return e.map_func_atoms(lambda atom: {"f": u_pow(2), "h": u_pow(-1)}[atom[0]])
-
-
-DS3 = ScalarExpr.atom(("s", (3,)))
+    return e.map_func_atoms({"f": u_pow(2), "h": u_pow(-1)})
 
 
 @pytest.mark.parametrize("rewrite, expr, want", [
@@ -79,7 +80,8 @@ DS3 = ScalarExpr.atom(("s", (3,)))
      pi_atom(3) * s_atom() + riem(1, 2) * wp() * f_pow(-1)),
     (_f_h_to_u, f_pow(2) * s_atom() + h_pow(-1) * riem(1, 2) * wp(),
      u_pow(4) * s_atom() + u_pow(1) * riem(1, 2) * wp()),
-    (_f_h_to_u, DS3 * pi_atom(2) * sc(5) + wp(), DS3 * pi_atom(2) * sc(5) + wp()),
+    (_f_h_to_u, s_atom() * pi_atom(2) * sc(5) + wp(),
+     s_atom() * pi_atom(2) * sc(5) + wp()),
 ], ids=["area-squared", "area-others-kept", "func-atoms", "geometric-only"])
 def test_atom_rewrites_touch_only_their_atoms(rewrite, expr, want):
     assert rewrite(expr) == want
@@ -97,9 +99,30 @@ def test_derive_product_inverse():
         assert got == want
 
 
-def test_derive_formal_geom_atom():
-    d = s_atom().derive_x(3)
-    assert d == ScalarExpr.atom(("s", (3,)))
+# curvature and connection atoms are values at the point: no derivative
+POINT_VALUES = [s_atom(), riem(1, 2), gam(6), sig(1), omega(3, 3, 6), curv0()]
+
+
+@pytest.mark.parametrize("atom", POINT_VALUES, ids=str)
+def test_derivative_of_a_point_value_raises(atom):
+    e = f_pow(2) * atom + h_pow(-1)
+    for j in (1, 6):
+        with pytest.raises(DerivativeOrderError, match=re.escape(str(atom))):
+            e.derive_x(j)
+
+
+@pytest.mark.parametrize("const", [wp(), area_s6(), omega4(), pi_atom()],
+                         ids=str)
+def test_constants_differentiate_to_zero(const):
+    for j in range(1, 7):
+        assert const.derive_x(j).is_zero()
+        assert (const * f_pow(1)).derive_x(j) == const * dfunc("f", j)
+
+
+def test_derived_curvature_atoms_are_rejected():
+    for atom in (("s", (3,)), ("R", 1, 2, (4,))):
+        with pytest.raises(ValueError, match="no derivative"):
+            ScalarExpr.atom(atom)
 
 
 def test_derive_leibniz_randomized():
@@ -108,27 +131,23 @@ def test_derive_leibniz_randomized():
         b = rand_expr(allow_derivs=False)
         j = rng.randint(1, 6)
         assert (a * b).derive_x(j) == a.derive_x(j) * b + a * b.derive_x(j)
-    # first-order atoms and s in one factor; three factors; both geom modes
+    # first-order atoms and wp in one factor; three factors
     for _ in range(60):
         a, b, c = rand_expr(3), rand_expr(3, False), rand_expr(3, False)
         j = rng.randint(1, 6)
-        for geom in ("formal", "drop"):
-            want = (a.derive_x(j, geom) * b * c + a * b.derive_x(j, geom) * c
-                    + a * b * c.derive_x(j, geom))
-            assert (a * b * c).derive_x(j, geom) == want
+        want = (a.derive_x(j) * b * c + a * b.derive_x(j) * c
+                + a * b * c.derive_x(j))
+        assert (a * b * c).derive_x(j) == want
 
 
 def test_derivative_cap_rejected():
     e = dfunc("h", 1, 2)
-    with pytest.raises(DerivativeOrderError):
+    with pytest.raises(DerivativeOrderError, match="exceeds order"):
         e.derive_x(3)
     # the cap fires on the second-order atom wherever it sits in a sum
-    e = f_pow(-2) * h_pow(1) + s_atom() * dfunc("f", 2, 5) * sc(3, 2)
-    for geom in ("formal", "drop"):
-        with pytest.raises(DerivativeOrderError):
-            e.derive_x(1, geom)
-    with pytest.raises(DerivativeOrderError):
-        ScalarExpr.atom(("R", 1, 1, ())).derive_x(2)
+    e = f_pow(-2) * h_pow(1) + wp() * dfunc("f", 2, 5) * sc(3, 2)
+    with pytest.raises(DerivativeOrderError, match="exceeds order"):
+        e.derive_x(1)
 
 
 def test_derive_linearity_randomized():
@@ -137,9 +156,8 @@ def test_derive_linearity_randomized():
         a, b = rand_expr(), rand_expr()
         k = ScalarExpr.const(rand_coeff())
         j = local.randint(1, 6)
-        for geom in ("formal", "drop"):
-            got = (a * k + b).derive_x(j, geom)
-            assert got == a.derive_x(j, geom) * k + b.derive_x(j, geom)
+        got = (a * k + b).derive_x(j)
+        assert got == a.derive_x(j) * k + b.derive_x(j)
 
 
 # -- canonical coefficients -------------------------------------------------
@@ -159,7 +177,7 @@ def test_int_parts_never_divide_into_a_float():
     local = random.Random(29)
     for _ in range(300):
         y = local.randint(-6, 6) or 1
-        inv = ScalarExpr.atom(("f", ()), local.randint(-3, 3) or 1, y).inverse_monomial()
+        inv = (f_pow(local.randint(-3, 3) or 1) * sc(y)).inverse_monomial()
         _assert_canonical(_coeff(inv))
         assert _coeff(inv) == Fraction(1, y)
         n, d = local.randint(-12, 12) or 1, local.randint(1, 6)
@@ -255,7 +273,7 @@ def test_evaluation_commutes_with_operations():
         a = rand_expr(allow_derivs=False)
         b = rand_expr(allow_derivs=False)
         assign = {}
-        for atom in (a * b + a).atoms():
+        for atom in atoms(a * b + a):
             assign[atom] = Fraction(local.randint(1, 9), local.randint(1, 4))
         va, vb = evaluate(a, assign), evaluate(b, assign)
         assert evaluate(a + b, assign) == va + vb
@@ -323,7 +341,7 @@ def test_group_display_matches_row_reduction_oracle():
     extras = [area_s6(), pi_atom(), s_atom(), wp()]
     noise = [dfunc("f", 1) * dfunc("f", 1), dfunc("h", 2, 2),
              dfunc("f", 3) * dfunc("h", 3), dfunc("f", 1) * dfunc("h", 2),
-             dfunc("f", 1, 2), s_atom(), ScalarExpr.atom(("s", (4,)))]
+             dfunc("f", 1, 2), s_atom(), dfunc("h", 4)]
     for n in range(60):
         e = ScalarExpr.zero()
         for _ in range(local.randint(1, 3)):

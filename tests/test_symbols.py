@@ -11,7 +11,6 @@ from wres6.scalars import (
     ScalarExpr,
     area_s6,
     atom_str,
-    dfunc,
     fh_pow,
     riem,
     sc,
@@ -26,9 +25,12 @@ from wres6.symbols import (
     xi_linear,
     xi_quadratic,
     xim_degree,
+    xim_mul,
     xim_norm,
     xim_xi,
 )
+
+from oracles import atoms, dfunc
 
 rng = random.Random(31)
 
@@ -248,7 +250,7 @@ def test_restrict_sphere_norm_powers():
     # 3 xi_1^2 |xi|^-8 like 3 xi_1^2, whose moment is 1/6 of the area; the
     # trace gives 8 and the gauge i^-6 = -1
     S = SymbolExpr.scalar_term(xim_norm(-3), sc(5))
-    T = SymbolExpr.scalar_term((xim_xi(1, 2)[0], -4), sc(3))
+    T = SymbolExpr.scalar_term((xim_mul(xim_xi(1), xim_xi(1))[0], -4), sc(3))
     assert integrate_trace(S) == sc(-40) * area_s6()
     assert integrate_trace(S + T) == sc(-44) * area_s6()
 
@@ -326,11 +328,11 @@ def test_point_context_multiplies_values_in_atom_order():
 def test_apply_context_leaves_no_connection_atom():
     q = build_q_symbols()
     for ctx in (INTERIOR, BOUNDARY):
-        atoms = {a for row in apply_context(q, ctx).orders.values()
+        found = {a for row in apply_context(q, ctx).orders.values()
                  for el in row.values() for c in el.terms.values()
-                 for a in c.atoms()}
-        assert not {a for a in atoms if a[0] in CONNECTION_KINDS}
-        assert (("wp",) in atoms) == ctx.is_boundary
+                 for a in atoms(c)}
+        assert not {a for a in found if a[0] in CONNECTION_KINDS}
+        assert (("wp",) in found) == ctx.is_boundary
 
 
 # ---------------------------------------------------------------------------
