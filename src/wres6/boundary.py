@@ -24,7 +24,6 @@ of the S^4 volume, and the line integral is evaluated by residues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, factorial
@@ -258,15 +257,6 @@ def boundary_parametrix():
 # The five cases
 
 
-@dataclass(frozen=True)
-class BoundaryCaseResult:
-    case: str
-    value: ScalarExpr          # multiple of pi * Omega_4
-    paper: ScalarExpr
-    verdict: str               # "match" | "diff (ledgered)" | "diff"
-    ledger_key: str | None = None
-
-
 CASE_DATA = {
     "a.I": dict(r=-2, l=-2, j=0, k=0, nalpha=1),
     "a.II": dict(r=-2, l=-2, j=1, k=0, nalpha=0),
@@ -274,9 +264,6 @@ CASE_DATA = {
     "b": dict(r=-2, l=-3, j=0, k=0, nalpha=0),
     "c": dict(r=-3, l=-2, j=0, k=0, nalpha=0),
 }
-
-CASE_ALIASES = {"a1": "a.I", "a2": "a.II", "a3": "a.III", "b": "b", "c": "c",
-                "a.I": "a.I", "a.II": "a.II", "a.III": "a.III"}
 
 
 def phi_case_value(case: str) -> ScalarExpr:
@@ -311,15 +298,6 @@ def phi_case_value(case: str) -> ScalarExpr:
     # in xi the prefactor is (-i)^(|alpha| + j + k + 1) / (j + k + 1)!; each
     # of those xi-derivatives is taken in eta, which is -i d/dxi
     return total.contour_integral() * sc(1, factorial(j + k + 1))
-
-
-def phi_case(case: str, specialize=None, ledger=None) -> BoundaryCaseResult:
-    from . import tables
-
-    case = CASE_ALIASES[case]
-    return BoundaryCaseResult(case, *tables.judge(
-        f"boundary/case-{case}", phi_case_value(case),
-        tables.printed_boundary_value(case), specialize, ledger))
 
 
 def phi_total() -> ScalarExpr:

@@ -269,7 +269,6 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
 
 
 def operator_symbols(name: str, ctx: PointContext | None = None) -> SymbolExpr:
-    name = name.strip()
     if name == "D":
         return build_d_symbols()
     if name == "D2":
@@ -280,7 +279,5 @@ def operator_symbols(name: str, ctx: PointContext | None = None) -> SymbolExpr:
         use = ctx or INTERIOR
         return invert_symbol(build_q_symbols(use), use).full_symbol()
     if name == "Qinv2":
-        if ctx is not None and ctx.is_boundary:
-            raise ValueError("Qinv2 is an interior-point computation")
         return qinv_square_sigma6()
     raise ValueError(f"unknown operator {name!r}")

@@ -33,6 +33,10 @@ USAGE_ERROR = 2
 MAX_EXPONENT_DIGITS = 2000
 
 
+# --case name -> boundary case
+CASE_NAMES = {"a1": "a.I", "a2": "a.II", "a3": "a.III", "b": "b", "c": "c"}
+
+
 class CliError(Exception):
     pass
 
@@ -127,7 +131,7 @@ def cmd_verify(args) -> int:
 
     cases = None
     if args.case not in (None, "all"):
-        cases = [args.case]
+        cases = [CASE_NAMES[args.case]]
     rep = report_mod.build_report(
         mode=args.target,
         specialization=spec_label,
@@ -145,11 +149,7 @@ def cmd_dump_symbols(args) -> int:
     from .calculus import operator_symbols
     from .symbols import BOUNDARY, INTERIOR
 
-    ctx = None
-    if args.context == "interior":
-        ctx = INTERIOR
-    elif args.context == "boundary":
-        ctx = BOUNDARY
+    ctx = {"interior": INTERIOR, "boundary": BOUNDARY}.get(args.context)
     if args.operator == "Qinv2" and args.context == "boundary":
         raise CliError("Qinv2 is an interior-point computation")
     sym = operator_symbols(args.operator, ctx)
@@ -162,26 +162,17 @@ def cmd_dump_symbols(args) -> int:
 def cmd_dump_term_table(args) -> int:
     from .interior import term_table
 
-    records = term_table()
+    rows = term_table()
     if args.format == "json":
-        payload = [
-            {
-                "index": r.index,
-                "integrand": r.integrand.dump_lines(),
-                "computed": str(r.computed),
-                "paper": str(r.paper),
-                "verdict": r.verdict,
-            }
-            for r in records
-        ]
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        payload = [{"index": r["index"], "integrand": r["integrand"].dump_lines(),
+                    "computed": str(r["computed"]), "paper": str(r["paper"]),
+                    "verdict": r["verdict"]} for r in rows]
+        text = json.dumps(payload, sort_keys=True, indent=2)
     else:
-        lines = []
-        for r in records:
-            lines.append(f"term {r.index:2d}: verdict={r.verdict}")
-            lines.append(f"  computed: {r.computed}")
-            lines.append(f"  paper:    {r.paper}")
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(f"term {r['index']:2d}: verdict={r['verdict']}\n"
+                         f"  computed: {r['computed']}\n"
+                         f"  paper:    {r['paper']}" for r in rows)
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -195,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification")
     verify.add_argument("target", choices=["interior", "boundary", "all"])
     verify.add_argument("--case", default=None,
-                        choices=["a1", "a2", "a3", "b", "c", "all"])
+                        choices=[*CASE_NAMES, "all"])
     verify.add_argument("--specialize", default=None,
                         help="f=1,h=1 | fh=1 | f=u^P,h=u^Q")
     verify.add_argument("--format", default="text", choices=["text", "json"])

@@ -10,11 +10,13 @@ The term table evaluates each line of the bundled printed expansion of the
 order -6 symbol with the forced trace/moment rules and compares against the
 printed grouped right-hand sides; the full density is computed from the
 engine's own symbol and compared against the bundled reference density.
+Each comparison is a verdict row of ``tables.judge``: "computed" and
+"paper" (both ``ScalarExpr``), "verdict" and "ledger"; a term row also
+carries its "index" and "integrand".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,13 +43,11 @@ def _moment_ratio(exps: tuple, n: int) -> Fraction:
     deg = sum(exps)
     if deg == 0:
         return Fraction(1)
-    # recurrence: strip two powers from the first active slot
+    # strip two powers from the first active slot i:
+    # int x^e = (e_i - 1)/(|e| - 2 + n) * int x^(e - 2e_i)
     i = next(k for k, e in enumerate(exps) if e)
     rest = list(exps)
     rest[i] -= 2
-    # I^(pairings of x_i x_i ...) = 1/(deg - 2 + n) * [ (e_i - 1) * I(e - 2e_i)
-    #   + sum over pairings with the other slots ], delta terms vanish unless
-    # indices coincide; with a fixed exponent vector this collapses to
     total = Fraction(exps[i] - 1) * _moment_ratio(tuple(rest), n)
     return total / (deg - 2 + n)
 
@@ -117,26 +117,18 @@ def integrate_trace(order6: SymbolExpr) -> ScalarExpr:
 # Term table and density
 
 
-@dataclass(frozen=True)
-class TermRecord:
-    index: int
-    integrand: SymbolExpr
-    computed: ScalarExpr
-    paper: ScalarExpr
-    verdict: str  # "match" | "diff (ledgered)" | "diff"
-    ledger_key: str | None = None
-
-
-def term_table(specialize=None, ledger=None) -> list[TermRecord]:
+def term_table(specialize=None, ledger=None) -> list[dict]:
+    """``tables.judge``'s row of each printed line's integral, plus "index"
+    and "integrand", the line itself."""
     from . import tables
 
-    records = []
+    rows = []
     for idx in range(1, 22):
         integrand = tables.printed_expansion_line(idx)
-        records.append(TermRecord(idx, integrand, *tables.judge(
+        rows.append({"index": idx, "integrand": integrand, **tables.judge(
             f"interior/term-{idx:02d}", integrate_trace(integrand),
-            tables.printed_term_value(idx), specialize, ledger)))
-    return records
+            tables.printed_term_value(idx), specialize, ledger)})
+    return rows
 
 
 def interior_density() -> ScalarExpr:
@@ -144,26 +136,12 @@ def interior_density() -> ScalarExpr:
     return integrate_trace(qinv_square_sigma6())
 
 
-@dataclass(frozen=True)
-class InteriorComparison:
-    computed_density: ScalarExpr  # with area -> pi^3 applied
-    paper_density: ScalarExpr
-    diff: ScalarExpr
-    verdict: str
-    ledger_key: str | None
-
-
-def theorem_check_interior(specialize=None, ledger=None) -> InteriorComparison:
-    """Compare the computed density with the bundled reference density.
-
-    Both sides are expanded into the canonical f/h basis with tr[id] = 8 and
-    area(S_6) = pi^3 substituted.  ``specialize`` optionally substitutes
-    the function images of ``cli.parse_specialization`` on both sides
-    before comparison.
-    """
+def theorem_check_interior(specialize=None, ledger=None) -> dict:
+    """``tables.judge``'s row of the computed density against the bundled
+    reference density, both in the f/h basis with tr[id] = 8 and
+    area(S_6) = pi^3 substituted."""
     from . import tables
 
-    computed, paper, verdict, key = tables.judge(
+    return tables.judge(
         "interior/theorem-density", subst_area(interior_density()),
         tables.printed_theorem_density(), specialize, ledger)
-    return InteriorComparison(computed, paper, computed - paper, verdict, key)

@@ -2,8 +2,12 @@
 
 A report is a plain dictionary with schema ``wres-report/1``; identical
 invocations produce byte-identical serializations (canonical term ordering,
-sorted JSON keys, no timestamps).  Overall status is "pass" exactly when
-every verdict is "match" or "diff (ledgered)".
+sorted JSON keys, no timestamps).  Every term, the density and every
+boundary case is a verdict row of ``tables.judge``, written out by ``_row``
+as "computed", "computed_grouped", "paper", "verdict" and "ledger"; a term
+adds "index" and "integrand", the density "diff" and "diff_grouped", a case
+"case".  Overall status is "pass" exactly when every verdict is "match" or
+"diff (ledgered)".
 """
 
 from __future__ import annotations
@@ -17,60 +21,46 @@ SCHEMA = "wres-report/1"
 PASS_VERDICTS = ("match", "diff (ledgered)")
 
 
+def _row(row: dict) -> dict:
+    """Write out a verdict row of ``tables.judge``: both sides as strings,
+    the computed side also grouped for display."""
+    return {
+        "computed": str(row["computed"]),
+        "computed_grouped": group_for_display(row["computed"]),
+        "paper": str(row["paper"]),
+        "verdict": row["verdict"],
+        "ledger": row["ledger"],
+    }
+
+
 def interior_section(specialize=None, ledger=None) -> dict:
     from .interior import term_table, theorem_check_interior
 
-    records = term_table(specialize=specialize, ledger=ledger)
+    rows = term_table(specialize=specialize, ledger=ledger)
     theorem = theorem_check_interior(specialize=specialize, ledger=ledger)
+    diff = theorem["computed"] - theorem["paper"]
     return {
-        "terms": [
-            {
-                "index": r.index,
-                "integrand": r.integrand.dump_lines(),
-                "computed": str(r.computed),
-                "computed_grouped": group_for_display(r.computed),
-                "paper": str(r.paper),
-                "verdict": r.verdict,
-                "ledger": r.ledger_key,
-            }
-            for r in records
-        ],
-        "theorem": {
-            "computed": str(theorem.computed_density),
-            "computed_grouped": group_for_display(theorem.computed_density),
-            "paper": str(theorem.paper_density),
-            "diff": str(theorem.diff),
-            "diff_grouped": group_for_display(theorem.diff),
-            "verdict": theorem.verdict,
-            "ledger": theorem.ledger_key,
-        },
+        "terms": [{"index": r["index"], "integrand": r["integrand"].dump_lines(),
+                   **_row(r)} for r in rows],
+        "theorem": {**_row(theorem), "diff": str(diff),
+                    "diff_grouped": group_for_display(diff)},
     }
 
 
 def boundary_section(cases=None, specialize=None, ledger=None) -> dict:
-    from .boundary import CASE_DATA, phi_case
-    from .tables import judge
+    from .boundary import CASE_DATA, phi_case_value
+    from .tables import judge, printed_boundary_value
 
     wanted = list(CASE_DATA) if cases is None else cases
-    results = [phi_case(c, specialize=specialize, ledger=ledger) for c in wanted]
-    out = {
-        "cases": [
-            {
-                "case": r.case,
-                "computed": str(r.value),
-                "computed_grouped": group_for_display(r.value),
-                "paper": str(r.paper),
-                "verdict": r.verdict,
-                "ledger": r.ledger_key,
-            }
-            for r in results
-        ],
-    }
+    rows = [judge(f"boundary/case-{c}", phi_case_value(c),
+                  printed_boundary_value(c), specialize, ledger) for c in wanted]
+    out = {"cases": [{"case": c, **_row(r)} for c, r in zip(wanted, rows)]}
     if cases is None:
         # specialization is a ring homomorphism, so the sum of the specialized
         # case values is the specialized total
-        total = sum((r.value for r in results), ScalarExpr.zero())
-        verdict = judge("boundary/total", total, ScalarExpr.zero(), None, ledger)[2]
+        total = sum((r["computed"] for r in rows), ScalarExpr.zero())
+        verdict = judge("boundary/total", total, ScalarExpr.zero(), None,
+                        ledger)["verdict"]
         out["total"] = {"computed": str(total), "expected": "0", "verdict": verdict}
     return out
 

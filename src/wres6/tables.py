@@ -341,25 +341,28 @@ FROZEN_DIFFERENCES = {
 
 
 def judge(location: str, computed: ScalarExpr, paper: ScalarExpr,
-          specialize=None, ledger=None):
-    """(computed, paper, verdict, ledger location) of one verdict row.
+          specialize=None, ledger=None) -> dict:
+    """One verdict row ``{"computed", "paper", "verdict", "ledger"}``.
 
     ``specialize``, the images of ``cli.parse_specialization``, is
-    substituted into both sides and into the frozen difference; ``ledger``
+    substituted into both sides, which stay ``ScalarExpr``s, and into the
+    frozen difference; "ledger" is ``location`` on a diff.  ``ledger``
     defaults to the bundled one.
     """
     def spec(e: ScalarExpr) -> ScalarExpr:
         return e if specialize is None else e.map_func_atoms(specialize)
 
     computed, paper = spec(computed), spec(paper)
+    row = {"computed": computed, "paper": paper, "verdict": "match", "ledger": None}
     if computed == paper:
-        return computed, paper, "match", None
+        return row
     if ledger is None:
         ledger = discrepancy_ledger()
     excused = (location in FROZEN_DIFFERENCES
                and any(e["location"] == location for e in ledger)
                and computed - paper == spec(FROZEN_DIFFERENCES[location]()))
-    return computed, paper, "diff (ledgered)" if excused else "diff", location
+    return {**row, "verdict": "diff (ledgered)" if excused else "diff",
+            "ledger": location}
 
 
 def discrepancy_ledger() -> list[dict]:

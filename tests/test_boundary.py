@@ -12,7 +12,6 @@ from wres6.boundary import (
     DecayError,
     XiRat,
     boundary_parametrix,
-    phi_case,
     phi_case_value,
     phi_total,
 )
@@ -368,12 +367,31 @@ def test_phi_total_vanishes_with_constant_warp():
     assert not a2.is_zero() and not b.is_zero()
 
 
+def test_case_table_is_the_order_constraint():
+    """The boundary term sums over r + l - k - |alpha| - j - 1 = -6 with
+    r, l <= -2 and j, k, |alpha| >= 0.  Then j + k + |alpha| = r + l + 5 <= 1
+    and r, l >= -3, so the box below holds every solution."""
+    solutions = {(r, l, j, k, nalpha)
+                 for r in range(-8, -1) for l in range(-8, -1)
+                 for j in range(4) for k in range(4) for nalpha in range(4)
+                 if r + l - k - nalpha - j - 1 == -6}
+    table = [(d["r"], d["l"], d["j"], d["k"], d["nalpha"])
+             for d in CASE_DATA.values()]
+    assert len(table) == len(set(table)) == 5
+    assert solutions == set(table)
+
+
+def _case_verdict(case):
+    return tables.judge(f"boundary/case-{case}", phi_case_value(case),
+                        tables.printed_boundary_value(case))["verdict"]
+
+
 def test_case_verdicts():
-    assert phi_case("a1").verdict == "match"
-    assert phi_case("a2").verdict == "match"
-    assert phi_case("a3").verdict == "match"
-    assert phi_case("b").verdict == "diff (ledgered)"
-    assert phi_case("c").verdict == "diff (ledgered)"
+    assert _case_verdict("a.I") == "match"
+    assert _case_verdict("a.II") == "match"
+    assert _case_verdict("a.III") == "match"
+    assert _case_verdict("b") == "diff (ledgered)"
+    assert _case_verdict("c") == "diff (ledgered)"
 
 
 def test_case_b_diff_is_exactly_the_ledgered_correction():

@@ -155,6 +155,20 @@ def test_case_filter(capsys):
     assert "total" not in rep["boundary"]
 
 
+def test_case_names_pick_the_same_rows_as_all(capsys):
+    code, out = run_cli(["verify", "boundary", "--case", "all",
+                         "--format", "json"], capsys)
+    assert code == 0
+    every = {r["case"]: r for r in json.loads(out)["boundary"]["cases"]}
+    names = {"a1": "a.I", "a2": "a.II", "a3": "a.III", "b": "b", "c": "c"}
+    for name, case in names.items():
+        code, out = run_cli(["verify", "boundary", "--case", name,
+                             "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["boundary"]["cases"] == [every[case]], name
+    assert set(every) == set(names.values())
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run_cli(["verify", "boundary", "--case", "a1",
