@@ -32,6 +32,7 @@ from .calculus import build_q_symbols, invert_symbol
 from .clifford import TRACE_ID, CliffordElement, word_str
 from .interior import sphere_moment
 from .scalars import (
+    N,
     ScalarExpr,
     SparseSum,
     _accumulate,
@@ -40,11 +41,7 @@ from .scalars import (
     pi_atom,
     sc,
 )
-from .symbols import (
-    BOUNDARY,
-    N_COORD,
-    SymbolExpr,
-)
+from .symbols import BOUNDARY, SymbolExpr
 
 
 class DecayError(ValueError):
@@ -196,8 +193,8 @@ class BoundaryExpr(SparseSum):
         """
         out: dict = {}
         for (exps, p), el in S.terms.items():
-            xp = tuple(exps[:N_COORD - 1])
-            n_pow = exps[N_COORD - 1]
+            xp = tuple(exps[:N - 1])
+            n_pow = exps[N - 1]
             if p >= 0:
                 norm = XiRat({(0, 2 * k): sc(comb(p, k) * (-1) ** (p - k))
                               for k in range(p + 1)})
@@ -217,17 +214,17 @@ class BoundaryExpr(SparseSum):
         return self.map(XiRat.pi_plus)
 
     def trace(self) -> "BoundaryExpr":
-        """Spinor trace: keeps the empty word, multiplied by tr[id] = 8."""
+        """Spinor trace: keeps the empty word, times tr[id] = TRACE_ID."""
         return BoundaryExpr({key: r.scale(sc(TRACE_ID))
                              for key, r in self.terms.items() if not key[1]})
 
     def integrate_tangential(self) -> XiRat:
-        """Integrate over |xi'| = 1 (S^4 moments); result times Omega_4."""
+        """Integrate over |xi'| = 1 (S^(N-2) moments); result times Omega_4."""
         total = XiRat.zero()
         for (xp, w), r in self.terms.items():
             if w:
                 raise ValueError("trace before tangential integration")
-            m = sphere_moment(xp, n=5)
+            m = sphere_moment(xp)
             if not m:
                 continue
             total = total + r.scale(ScalarExpr.const(m) * omega4())
@@ -272,12 +269,12 @@ def phi_case_value(case: str) -> ScalarExpr:
     r, l, j, k, nalpha = data["r"], data["l"], data["j"], data["k"], data["nalpha"]
     par = boundary_parametrix()
 
-    alphas = [()] if nalpha == 0 else [(a,) for a in range(1, N_COORD)]
+    alphas = [()] if nalpha == 0 else [(a,) for a in range(1, N)]
     total = XiRat.zero()
     for alpha in alphas:
         left_sym = par.b2 if r == -2 else par.b3
         for _ in range(j):
-            left_sym = left_sym.derive_x(N_COORD, BOUNDARY)
+            left_sym = left_sym.derive_x(N, BOUNDARY)
         for a in alpha:
             left_sym = left_sym.derive_xi(a)
         left = BoundaryExpr.from_symbol(left_sym).pi_plus()
@@ -288,7 +285,7 @@ def phi_case_value(case: str) -> ScalarExpr:
         for a in alpha:
             right_sym = right_sym.derive_x(a, BOUNDARY)
         for _ in range(k):
-            right_sym = right_sym.derive_x(N_COORD, BOUNDARY)
+            right_sym = right_sym.derive_x(N, BOUNDARY)
         right = BoundaryExpr.from_symbol(right_sym)
         for _ in range(j + 1):
             right = right.derive_xin()

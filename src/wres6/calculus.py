@@ -45,6 +45,7 @@ from itertools import combinations
 
 from .clifford import CliffordElement, c_of_d
 from .scalars import (
+    COORDS,
     curv0,
     f_pow,
     fh_pow,
@@ -82,9 +83,9 @@ def build_d_symbols() -> SymbolExpr:
     order 0 the frame-connection cubic -1/4 omega_{s,t}(e_i) c_i c_s c_t,
     which is -1/2 sum_i c_i sum_{s<t} omega_{s,t}(e_i) c_s c_t."""
     cubic = CliffordElement.zero()
-    for i in range(1, 7):
+    for i in COORDS:
         cubic = cubic + CliffordElement.generator(i) * CliffordElement(
-            {(s, t): omega(i, s, t) for s, t in combinations(range(1, 7), 2)})
+            {(s, t): omega(i, s, t) for s, t in combinations(COORDS, 2)})
     return SymbolExpr.xi_covector() + SymbolExpr.term(XIM_ONE, cubic.scale(sc(-1, 2)))
 
 
@@ -244,7 +245,7 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
     b4 = par.b4
 
     s2inv_sq = s2inv.mul(s2inv)
-    dx_s2inv = {mu: s2inv.derive_x(mu, ctx) for mu in range(1, 7)}
+    dx_s2inv = {mu: s2inv.derive_x(mu, ctx) for mu in COORDS}
 
     out = s2inv.mul(b4).scale(sc(3))
     out = out + s2inv_sq.mul(s2inv).mul(s0)
@@ -255,7 +256,7 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
         if dx:
             out = out + (s2inv_sq.mul(s1.derive_xi(mu)) + b3.derive_xi(mu)).mul(dx)
     for mu, dx in dx_s2inv.items():
-        for nu in range(1, 7):
+        for nu in COORDS:
             ddx = dx.derive_x(nu, ctx)
             if ddx:
                 dd = (s2inv_sq.mul(s2.derive_xi(mu).derive_xi(nu))
@@ -267,17 +268,13 @@ def _route_reduced(q: SymbolExpr, par: Parametrix) -> SymbolExpr:
 # ---------------------------------------------------------------------------
 # Named operator access (CLI dumps)
 
-
-def operator_symbols(name: str, ctx: PointContext | None = None) -> SymbolExpr:
-    if name == "D":
-        return build_d_symbols()
-    if name == "D2":
-        return build_d2_symbols()
-    if name == "Q":
-        return build_q_symbols(ctx)
-    if name == "Qinv":
-        use = ctx or INTERIOR
-        return invert_symbol(build_q_symbols(use), use).full_symbol()
-    if name == "Qinv2":
-        return qinv_square_sigma6()
-    raise ValueError(f"unknown operator {name!r}")
+# --operator name -> its symbol, given a point context or None: Q is then
+# generic, and Qinv is taken at the interior point
+OPERATORS = {
+    "D": lambda ctx: build_d_symbols(),
+    "D2": lambda ctx: build_d2_symbols(),
+    "Q": build_q_symbols,
+    "Qinv": lambda ctx: invert_symbol(
+        build_q_symbols(ctx or INTERIOR), ctx or INTERIOR).full_symbol(),
+    "Qinv2": lambda ctx: qinv_square_sigma6(),
+}

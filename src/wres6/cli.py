@@ -146,13 +146,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_symbols(args) -> int:
-    from .calculus import operator_symbols
+    from .calculus import OPERATORS
     from .symbols import BOUNDARY, INTERIOR
 
     ctx = {"interior": INTERIOR, "boundary": BOUNDARY}.get(args.context)
     if args.operator == "Qinv2" and args.context == "boundary":
         raise CliError("Qinv2 is an interior-point computation")
-    sym = operator_symbols(args.operator, ctx)
+    sym = OPERATORS[args.operator](ctx)
     if args.order is not None:
         sym = sym.order_part(args.order)
     _emit("\n".join(sym.dump_lines()) + "\n", args.out)
@@ -177,6 +177,8 @@ def cmd_dump_term_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .calculus import OPERATORS
+
     parser = argparse.ArgumentParser(
         prog="wres6",
         description=("Exact verifier for the noncommutative residue of the "
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dsym = dsub.add_parser("symbols")
     dsym.add_argument("--operator", required=True,
-                      choices=["D", "D2", "Q", "Qinv", "Qinv2"])
+                      choices=OPERATORS)
     dsym.add_argument("--order", type=int, default=None)
     dsym.add_argument("--context", default=None,
                       choices=["interior", "boundary"])

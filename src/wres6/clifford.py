@@ -1,16 +1,15 @@
-"""Clifford algebra on six generators c(dx_1)..c(dx_6).
+"""Clifford algebra on N generators c(dx_1)..c(dx_N), N = ``scalars.N``.
 
 Relations: c_i c_j + c_j c_i = -2 delta_ij at the computation point (the
 orthonormal frame of normal coordinates, so c(e_i) and c(dx_i) coincide).
 Words are strictly increasing index tuples; the empty word is the identity.
-The spinor trace sends the identity to 2^(6/2) = 8 and every nonempty
+The spinor trace sends the identity to 2^(N/2) and every nonempty
 canonical word to 0.
 
 ``CliffordElement`` is a ``scalars.SparseSum`` (word -> ScalarExpr), which
 holds its storage, its linear structure and its product; this module gives
-the product of two words.  The relations have real structure constants
-(Cl_{0,6} is the real matrix algebra M_8(R)), so every coefficient stays
-rational.
+the product of two words.  The relations have real structure constants,
+so every coefficient stays rational.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .scalars import ScalarExpr, SparseSum, _as_scalar
+from .scalars import COORDS, N, ScalarExpr, SparseSum, _as_scalar
 
-TRACE_ID = 8  # 2^(n/2) with n = 6, fixed for this artifact
+TRACE_ID = 2 ** (N // 2)  # tr(id) on spinors, 8 for N = 6
 
 
 def _merge_words(w1: tuple, w2: tuple) -> tuple[int, tuple]:
@@ -61,7 +60,7 @@ class CliffordElement(SparseSum):
 
     @staticmethod
     def generator(i: int) -> "CliffordElement":
-        if not 1 <= i <= 6:
+        if i not in COORDS:
             raise ValueError("generator index out of range")
         return CliffordElement({(i,): ScalarExpr.one()})
 
@@ -75,7 +74,7 @@ class CliffordElement(SparseSum):
     @staticmethod
     def covector(components: list[ScalarExpr]) -> "CliffordElement":
         """c(v) = sum_j v_j c_j for a covector with given components."""
-        return CliffordElement({(j,): components[j - 1] for j in range(1, 7)})
+        return CliffordElement({(j,): components[j - 1] for j in COORDS})
 
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
@@ -83,7 +82,7 @@ class CliffordElement(SparseSum):
         return self.mul(other)
 
     def trace(self) -> ScalarExpr:
-        """Spinor trace: tr(id) = 8, nonempty canonical words trace to 0."""
+        """Spinor trace: tr(id) = TRACE_ID, nonempty words trace to 0."""
         return self.terms.get((), ScalarExpr.zero()) * TRACE_ID
 
     def scalar_part(self) -> ScalarExpr:
@@ -104,7 +103,7 @@ class CliffordElement(SparseSum):
 
 def c_of_d(u: ScalarExpr) -> CliffordElement:
     """c(du) = sum_j (d_j u) c_j for a scalar function u."""
-    return CliffordElement.covector([u.derive_x(j) for j in range(1, 7)])
+    return CliffordElement.covector([u.derive_x(j) for j in COORDS])
 
 
 def word_str(w: tuple) -> str:

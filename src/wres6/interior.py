@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .calculus import qinv_square_sigma6
-from .scalars import ScalarExpr, area_s6, s_atom, subst_area
+from .scalars import COORDS, N, ScalarExpr, area_s6, s_atom, subst_area
 from .symbols import SymbolExpr
 
 
@@ -32,12 +32,12 @@ class FreeIndexError(ValueError):
 # ---------------------------------------------------------------------------
 # Sphere moments
 #
-# moment(exps, n) is the integral over the unit sphere S^(n-1) of the
-# monomial prod x_i^e_i, expressed as a rational multiple of the total area.
+# sphere_moment(exps) is the integral over the unit sphere S^(n-1), n =
+# len(exps), of the monomial prod x_i^e_i, a rational multiple of the area.
 
 
 @lru_cache(maxsize=None)
-def _moment_ratio(exps: tuple, n: int) -> Fraction:
+def _moment_ratio(exps: tuple) -> Fraction:
     if any(e % 2 for e in exps):
         return Fraction(0)
     deg = sum(exps)
@@ -48,18 +48,16 @@ def _moment_ratio(exps: tuple, n: int) -> Fraction:
     i = next(k for k, e in enumerate(exps) if e)
     rest = list(exps)
     rest[i] -= 2
-    total = Fraction(exps[i] - 1) * _moment_ratio(tuple(rest), n)
-    return total / (deg - 2 + n)
+    total = Fraction(exps[i] - 1) * _moment_ratio(tuple(rest))
+    return total / (deg - 2 + len(exps))
 
 
-def sphere_moment(exps, n: int = 6) -> Fraction:
-    """Moment of prod xi_i^e_i over S^(n-1) as a multiple of the area."""
+def sphere_moment(exps) -> Fraction:
+    """Moment of prod xi_i^e_i over S^(len(exps)-1), a multiple of the area."""
     exps = tuple(exps)
-    if len(exps) != n:
-        raise ValueError("exponent vector length must equal the dimension")
     if any(e < 0 for e in exps):
         raise ValueError("negative exponents")
-    return _moment_ratio(exps, n)
+    return _moment_ratio(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -89,28 +87,28 @@ def _contract_riemann(e: ScalarExpr) -> ScalarExpr:
         diag.setdefault(rest, {})[atom[1]] = coeff
     out = ScalarExpr(plain)
     for rest, fam in diag.items():
-        if set(fam) != set(range(1, 7)) or len(set(fam.values())) != 1:
+        if set(fam) != set(COORDS) or len(set(fam.values())) != 1:
             raise FreeIndexError("incomplete diagonal Riemann family")
         coeff = next(iter(fam.values()))
         out = out + ScalarExpr({rest: coeff}) * s_atom()
     return out
 
 
-def integrate_trace(order6: SymbolExpr) -> ScalarExpr:
-    """Integrate tr[.] of a restricted order -6 symbol over the unit sphere.
+def integrate_trace(order_n: SymbolExpr) -> ScalarExpr:
+    """Integrate tr[.] of a restricted order -N symbol over the unit sphere.
 
     Returns a ScalarExpr multiple of the area atom; the trace factor
-    tr[id] = 8 is included, and so is the factor i^-6 = -1 that takes the
+    TRACE_ID is included, and so is i^-N = (-1)^(N/2), which takes the
     real-gauge coefficients back to xi.  Input must be concentrated in
-    order -6 (the restriction makes |xi|^2 powers immaterial).  Surviving
+    order -N (the restriction makes |xi|^2 powers immaterial).  Surviving
     diagonal Riemann families are contracted into the scalar curvature.
     """
     total = ScalarExpr.zero()
-    for (exps, _), el in order6.terms.items():
+    for (exps, _), el in order_n.terms.items():
         m = sphere_moment(exps)
         if m:
             total = total + el.trace() * m
-    return _contract_riemann(total) * area_s6() * -1  # i^-6
+    return _contract_riemann(total) * area_s6() * (-1) ** (N // 2)  # i^-N
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ symbol coefficients rational.  A monomial is a multiset of atoms:
   ``R[a,b]``, the boundary warp derivative ``wp`` (w'(0)), contracted
   connection atoms ``Gam[mu]`` / ``sig[mu]``, frame connection ``om[i,s,t]``,
   the opaque curvature remainder ``curv0`` of the squared Dirac operator's
-  order-0 symbol, and the constants ``S6`` (area of the unit 5-sphere in R^6),
-  ``Om4`` (area of the unit 4-sphere in R^5) and ``pi``.
+  order-0 symbol, and the constants ``S6`` (area of the unit sphere in R^N),
+  ``Om4`` (area of the unit sphere in R^(N-1)) and ``pi``.
 
 Arithmetic is exact and never produces a float: each coefficient is an
 ``int`` when integral and a ``Fraction`` otherwise.  All values are immutable
@@ -33,6 +33,9 @@ from functools import lru_cache, reduce
 from typing import Callable, Mapping
 
 MAX_DERIV_ORDER = 2
+
+N = 6  # the dimension of the manifold; every coordinate range derives from it
+COORDS = range(1, N + 1)
 
 def _rational(x) -> int | Fraction:
     """An int or Fraction in canonical form: an int when integral."""
@@ -340,7 +343,7 @@ class ScalarExpr(SparseSum):
         ``DerivativeOrderError``: it is a value at the computation point,
         with no derivative there.
         """
-        if not 1 <= j <= 6:
+        if j not in COORDS:
             raise ValueError("coordinate index out of range")
         out: dict = {}
         for mono, coeff in self.terms.items():
@@ -570,7 +573,7 @@ def subst_area(e: ScalarExpr) -> ScalarExpr:
 def grad_dot(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
     """g(grad u, grad v) = sum_j (d_j u)(d_j v) at the computation point."""
     total = ScalarExpr.zero()
-    for j in range(1, 7):
+    for j in COORDS:
         total = total + u.derive_x(j) * v.derive_x(j)
     return total
 
@@ -578,7 +581,7 @@ def grad_dot(u: ScalarExpr, v: ScalarExpr) -> ScalarExpr:
 def lap(u: ScalarExpr) -> ScalarExpr:
     """Delta u = sum_j d_j d_j u at the computation point."""
     total = ScalarExpr.zero()
-    for j in range(1, 7):
+    for j in COORDS:
         total = total + u.derive_x(j).derive_x(j)
     return total
 
@@ -592,7 +595,7 @@ def lap(u: ScalarExpr) -> ScalarExpr:
 # rank is the print order
 _SUM_TERMS = {
     term: (rank, label, j)
-    for j in range(1, 7)
+    for j in COORDS
     for rank, (label, term) in enumerate((
         ("|grad[f]|^2", ((("f", (j,)), 2),)),
         ("g(grad[f],grad[h])", ((("f", (j,)), 1), (("h", (j,)), 1))),
@@ -650,7 +653,7 @@ def group_for_display(e: ScalarExpr) -> str:
     """Grouped rendering of a canonical expression.
 
     Terms of a basic sum that share a prefactor print as one piece when all
-    six coordinates carry the same coefficient; terms of no basic sum print
+    N coordinates carry the same coefficient; terms of no basic sum print
     expanded after the pieces.  If any group is incomplete or uneven, the
     whole expression prints expanded.  Display only; equality checks always
     run on the expanded basis.
@@ -671,7 +674,7 @@ def group_for_display(e: ScalarExpr) -> str:
     pieces = []
     for (_, pre), (label, coeffs) in sorted(groups.items()):
         values = set(coeffs.values())
-        if len(coeffs) != 6 or len(values) != 1:
+        if len(coeffs) != N or len(values) != 1:
             return str(e)
         pieces.append(_format_piece(values.pop(), _power_label(pre), label))
     if rest:

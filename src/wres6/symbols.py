@@ -1,15 +1,15 @@
 """Graded symbol algebra in xi with ScalarExpr x Clifford coefficients.
 
 A symbol is a ``scalars.SparseSum`` over xi-monomials: one flat map from
-xi-monomial to Clifford element (whose coefficients are ScalarExpr).  A
-xi-monomial is a pair ``(exps, p)`` meaning ``xi_1^e1 ... xi_6^e6 *
-|xi|^(2p)``; |xi|^2 is a first-class generator so negative powers stay
-exact, and the relation sum_j xi_j^2 = |xi|^2 is applied only by the
-restriction maps and by sphere integration.  A term's homogeneity order is
-the degree of its monomial, so it is read from the key and never stored;
-``SymbolExpr.orders`` is the view grouped by order.  The product is the
-one of ``scalars.SparseSum``; this module gives the product of two
-xi-monomials.
+xi-monomial to Clifford element (whose coefficients are ScalarExpr).  In
+dimension N = ``scalars.N`` a xi-monomial is a pair ``(exps, p)`` meaning
+``xi_1^e1 ... xi_N^eN * |xi|^(2p)``; |xi|^2 is a first-class generator so
+negative powers stay exact, and the relation sum_j xi_j^2 = |xi|^2 is
+applied only by the restriction maps and by sphere integration.  A term's
+homogeneity order is the degree of its monomial, so it is read from the key
+and never stored; ``SymbolExpr.orders`` is the view grouped by order.  The
+product is the one of ``scalars.SparseSum``; this module gives the product
+of two xi-monomials.
 
 Point contexts fix the evaluation rules at the computation point:
 
@@ -25,14 +25,14 @@ calculus module), so ``derive_x`` raises on a curvature or connection atom.
 
 The real gauge
 --------------
-Cl_{0,6} is the real matrix algebra M_8(R) (Lawson and Michelsohn, "Spin
-Geometry", Ch. I 4), so every coefficient of xi-degree k of the symbols
-this computation builds lies in i^k Q.  Each term is therefore stored as the
-rational r = i^-k c of its coefficient c, which is the substitution
-xi = -i eta: a stored symbol is p(x, -i eta) written in the variable eta,
-and the monomial keys keep the names xi.  Pointwise products and
-x-derivatives act on r as on c; d/d eta = -i d/d xi, so the composition sum
-loses its factors (-i)^|alpha|.  The number i appears at two edges only:
+The Clifford relations are real (Cl_{0,6} is the real matrix algebra
+M_8(R); Lawson and Michelsohn, "Spin Geometry", Ch. I 4), so every
+coefficient of xi-degree k of the symbols this computation builds lies in
+i^k Q.  Each term is therefore stored as the rational r = i^-k c of its
+coefficient c, which is the substitution xi = -i eta: a stored symbol is
+p(x, -i eta) written in the variable eta, and the monomial keys keep the
+names xi.  Pointwise products and x-derivatives act on r as on c;
+d/d eta = -i d/d xi, so the composition sum loses its factors (-i)^|alpha|.  The number i appears at two edges only:
 ``tables`` reads the printed symbols, which are written in xi, into the
 gauge, and ``SymbolExpr.dump_lines`` writes each coefficient back as i^k r.
 """
@@ -48,6 +48,8 @@ from math import factorial
 from .clifford import CliffordElement, word_str
 from .scalars import (
     CONNECTION_KINDS,
+    COORDS,
+    N,
     ScalarExpr,
     SparseSum,
     _accumulate,
@@ -57,21 +59,19 @@ from .scalars import (
     wp,
 )
 
-N_COORD = 6  # the distinguished normal coordinate index is 6
+XiMon = tuple  # ((e1..eN), p)
 
-XiMon = tuple  # ((e1..e6), p)
-
-XIM_ONE: XiMon = ((0, 0, 0, 0, 0, 0), 0)
+XIM_ONE: XiMon = ((0,) * N, 0)
 
 
 def xim_xi(j: int) -> XiMon:
-    e = [0] * 6
+    e = [0] * N
     e[j - 1] = 1
     return (tuple(e), 0)
 
 
 def xim_norm(p: int) -> XiMon:
-    return ((0, 0, 0, 0, 0, 0), p)
+    return (XIM_ONE[0], p)
 
 
 def xim_mul(a: XiMon, b: XiMon) -> XiMon:
@@ -99,7 +99,7 @@ def xim_str(a: XiMon) -> str:
 
 @dataclass(frozen=True)
 class PointContext:
-    """Evaluation mode at the computation point; dimension fixed at 6."""
+    """Evaluation mode at the computation point; x_N is the normal one."""
 
     mode: str  # "interior" | "boundary"
 
@@ -180,7 +180,7 @@ class SymbolExpr(SparseSum):
 
     def derive_xi(self, mu: int) -> "SymbolExpr":
         """d/dxi_mu; every term drops by one homogeneity order."""
-        if not 1 <= mu <= 6:
+        if mu not in COORDS:
             raise ValueError("xi index out of range")
         out: dict = {}
         for (exps, p), el in self.terms.items():
@@ -207,7 +207,7 @@ class SymbolExpr(SparseSum):
         interior mode.
         """
         out: dict = {}
-        boundary_n = ctx.is_boundary and j == N_COORD
+        boundary_n = ctx.is_boundary and j == N
         for (exps, p), el in self.terms.items():
             dcoeff = el.map(lambda c: c.derive_x(j))
             if dcoeff:
@@ -224,7 +224,7 @@ class SymbolExpr(SparseSum):
                     base = el.scale(wp() * sc(p))
                     _accumulate(out, (exps, p), base)
                     xn2 = list(exps)
-                    xn2[N_COORD - 1] += 2
+                    xn2[N - 1] += 2
                     _accumulate(out, (tuple(xn2), p - 1), -base)
         return SymbolExpr(out)
 
@@ -267,14 +267,14 @@ def _xi_form(coeffs: dict) -> SymbolExpr:
 
 def xi_linear(v) -> SymbolExpr:
     """sum_j v(j) xi_j; v(j) is a ScalarExpr or a CliffordElement."""
-    return _xi_form({xim_xi(j): v(j) for j in range(1, 7)})
+    return _xi_form({xim_xi(j): v(j) for j in COORDS})
 
 
 def xi_quadratic(q) -> SymbolExpr:
     """sum_jl q(j, l) xi_j xi_l with scalar q(j, l)."""
     coeffs: dict = {}
-    for j in range(1, 7):
-        for l in range(1, 7):
+    for j in COORDS:
+        for l in COORDS:
             _accumulate(coeffs, xim_mul(xim_xi(j), xim_xi(l)), q(j, l))
     return _xi_form(coeffs)
 
@@ -288,11 +288,11 @@ def xi_quadratic(q) -> SymbolExpr:
 # last stored as om[k, k, n] = -1/2 w'(0).
 
 _BOUNDARY_CONNECTION = {
-    ("Gam", N_COORD): CliffordElement.identity(sc(5, 2) * wp()),
-    **{("sig", k): CliffordElement.word((k, N_COORD), sc(1, 4) * wp())
-       for k in range(1, N_COORD)},
-    **{("om", k, k, N_COORD): CliffordElement.identity(sc(-1, 2) * wp())
-       for k in range(1, N_COORD)},
+    ("Gam", N): CliffordElement.identity(sc(5, 2) * wp()),
+    **{("sig", k): CliffordElement.word((k, N), sc(1, 4) * wp())
+       for k in range(1, N)},
+    **{("om", k, k, N): CliffordElement.identity(sc(-1, 2) * wp())
+       for k in range(1, N)},
 }
 
 
@@ -358,7 +358,7 @@ def compose(A: SymbolExpr, B: SymbolExpr, lowest_order: int,
     parts_b = {o: SymbolExpr(t) for o, t in B.orders.items()}
     raw: dict = {}
     for k in range(max_k + 1):
-        for alpha in combinations_with_replacement(range(1, 7), k):
+        for alpha in combinations_with_replacement(COORDS, k):
             fact = 1
             for j in set(alpha):
                 fact *= factorial(alpha.count(j))

@@ -19,6 +19,7 @@ from functools import lru_cache, reduce
 
 from .clifford import c_of_d
 from .scalars import (
+    N,
     ScalarExpr,
     area_s6,
     f_pow,
@@ -250,7 +251,7 @@ def printed_qinv_order(k: int) -> SymbolExpr:
 
 def printed_boundary_value(case: str) -> ScalarExpr:
     piom = pi_atom(1) * omega4()
-    dxn_fh2 = fh_pow(-2).derive_x(6)
+    dxn_fh2 = fh_pow(-2).derive_x(N)
     vals = {
         "a.I": ScalarExpr.zero(),
         "a.II": (fh_pow(-2) * sc(1, 2) * dxn_fh2
@@ -321,8 +322,8 @@ def boundary_case_correction() -> ScalarExpr:
     cancel in the total.
     """
     return (fh_pow(-5) * sc(-1, 2)
-            * (f_pow(1) * h_pow(1).derive_x(6)
-               + sc(3) * h_pow(1) * f_pow(1).derive_x(6))
+            * (f_pow(1) * h_pow(1).derive_x(N)
+               + sc(3) * h_pow(1) * f_pow(1).derive_x(N))
             * pi_atom() * omega4())
 
 

@@ -61,24 +61,25 @@ def build_fdh_symbols(ctx) -> SymbolExpr:
     return dh.scale(f_pow(1))
 
 
-def gamma_moment(exps, n: int = 6) -> Fraction:
-    """Closed-form oracle: 2 prod((2a_i)! / (4^a_i a_i!)) / binomial growth.
+def gamma_moment(exps) -> Fraction:
+    """Closed-form oracle for the moment over S^(n-1), n = len(exps).
 
     For even exponents 2a_i the sphere moment divided by the area equals
-    Gamma(n/2) * prod Gamma(a_i + 1/2) / (pi^(n/2) Gamma(|a| + n/2)); for
-    even n every factor is rational after the pi powers cancel.
+    Gamma(n/2) * prod Gamma(a_i + 1/2) / (pi^(n/2) Gamma(|a| + n/2)).  With
+    Gamma(a + 1/2) = sqrt(pi) (2a)! / (4^a a!) the pi powers cancel, and
+    Gamma(|a| + n/2) / Gamma(n/2) = prod_{k < |a|} (n/2 + k), so every
+    factor is rational for odd n too.
     """
     exps = tuple(exps)
     if any(e % 2 for e in exps):
         return Fraction(0)
     a = [e // 2 for e in exps]
-    if n % 2:
-        raise ValueError("gamma_moment oracle implemented for even n only")
     num = Fraction(1)
     for ai in a:
         num *= Fraction(factorial(2 * ai), 4 ** ai * factorial(ai))
-    half = n // 2
-    return num * Fraction(factorial(half - 1), factorial(sum(a) + half - 1))
+    for k in range(sum(a)):
+        num /= Fraction(len(exps), 2) + k
+    return num
 
 
 def evaluate(e: ScalarExpr, assign):

@@ -69,16 +69,16 @@ def test_recurrence_matches_gamma_formula_all_keys():
 
 
 def test_s4_moments_match_gamma():
-    for degs in itertools.product(range(0, 5, 2), repeat=5):
-        if sum(degs) > 4:
-            continue
-        # n = 5 is odd; compare against the recurrence-independent closed
-        # forms for low degree instead
-        pass
-    assert sphere_moment((2, 0, 0, 0, 0), n=5) == Fraction(1, 5)
-    assert sphere_moment((2, 2, 0, 0, 0), n=5) == Fraction(1, 35)
-    assert sphere_moment((4, 0, 0, 0, 0), n=5) == Fraction(3, 35)
-    assert sphere_moment((1, 1, 0, 0, 0), n=5) == 0
+    # every even key of total degree <= 6 on S^2, S^3 and S^4: the sphere's
+    # dimension is read from the length of the key
+    for n in (3, 4, 5):
+        for degs in itertools.product(range(0, 7, 2), repeat=n):
+            if sum(degs) <= 6:
+                assert sphere_moment(degs) == gamma_moment(degs)
+    assert sphere_moment((2, 0, 0, 0, 0)) == Fraction(1, 5)
+    assert sphere_moment((2, 2, 0, 0, 0)) == Fraction(1, 35)
+    assert sphere_moment((4, 0, 0, 0, 0)) == Fraction(3, 35)
+    assert sphere_moment((1, 1, 0, 0, 0)) == 0
 
 
 def test_integrate_scalar_curvature_line():
